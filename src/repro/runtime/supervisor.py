@@ -48,8 +48,10 @@ per family at trip time and once per in-process degraded resolution),
 ``supervisor.reruns`` (points re-executed degraded),
 ``supervisor.poisoned`` (NaN-poisoned rows caught), and
 ``supervisor.preemptions`` (bit-CSP compiles pre-empted by the memory
-budget).  Counters live in the supervising process; worker subprocesses
-have their own (discarded) tracers.
+budget).  Counters recorded inside pool workers (an in-worker degraded
+resolution, a pre-empted compile) are shipped back with each point's
+result and merged into the run's tracer (see
+:mod:`repro.runtime.executor`).
 """
 
 from __future__ import annotations

@@ -69,6 +69,9 @@ class NullTracer:
     def record_timing(self, name: str, elapsed_s: float) -> None:
         pass
 
+    def merge(self, telemetry: tuple) -> None:
+        pass
+
     def add_step_hook(self, hook: Callable[[str, int, int], None]) -> None:
         raise TypeError(
             "cannot register a step hook on the null tracer; "
@@ -103,6 +106,13 @@ class TimerStats:
         self.calls += 1
         self.min_s = min(self.min_s, elapsed)
         self.max_s = max(self.max_s, elapsed)
+
+    def combine(self, other: "TimerStats") -> None:
+        """Fold another aggregate of the same timer into this one."""
+        self.total_s += other.total_s
+        self.calls += other.calls
+        self.min_s = min(self.min_s, other.min_s)
+        self.max_s = max(self.max_s, other.max_s)
 
     @property
     def mean_s(self) -> float:
@@ -150,6 +160,41 @@ class Tracer:
     def record_timing(self, name: str, elapsed_s: float) -> None:
         """Fold one externally-measured duration into timer ``name``."""
         self.timers.setdefault(name, TimerStats()).add(elapsed_s)
+
+    # -- crossing a process boundary ----------------------------------------
+
+    def telemetry(self) -> tuple:
+        """Counters, timers and kept events as picklable data, for
+        :meth:`merge`.
+
+        A worker process runs each point under a fresh tracer and ships
+        this back with the result, so what the point recorded is not
+        lost with the process.  Event fields go through JSON (``repr``
+        for anything else), as the JSONL file would store them, so an
+        event can never make the result unpicklable.
+        """
+        events = [
+            json.loads(json.dumps(record, default=repr))
+            for record in self.events
+        ]
+        return dict(self.counters), self.timers, events
+
+    def merge(self, telemetry: tuple) -> None:
+        """Add another tracer's :meth:`telemetry` into this one.
+
+        Counters add, timers combine, and each event is re-emitted
+        through :meth:`event` — stamped on this tracer's clock, written
+        to its file and passed to its event hooks.
+        """
+        counters, timers, events = telemetry
+        self.counters.update(counters)
+        for name, stats in timers.items():
+            self.timers.setdefault(name, TimerStats()).combine(stats)
+        for record in events:
+            fields = {
+                k: v for k, v in record.items() if k not in ("ts", "event")
+            }
+            self.event(record["event"], **fields)
 
     # -- events ------------------------------------------------------------
 

@@ -22,7 +22,8 @@ events from the tracer into each job's ``events`` feed.
 Environment knobs (constructor arguments win over the environment):
 
 ===========================  =========================================
-``REPRO_SERVICE_WORKERS``      worker processes per chunk (default 1 =
+``REPRO_SERVICE_WORKERS``      worker processes, forked once and kept
+                               until :meth:`close` (default 1 =
                                inline; ``-1`` = every core)
 ``REPRO_SERVICE_MAX_PENDING``  unfinished jobs admitted before
                                backpressure (default 128)

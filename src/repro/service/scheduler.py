@@ -13,12 +13,25 @@ The scheduler turns accepted jobs into executed points:
   of one job are contiguous, so chunks are per-job slices), keeping
   cancellation and progress streaming responsive even for huge jobs.
 * **execution** — each chunk runs through the event-driven
-  :func:`repro.runtime.executor.run_points` loop, sharded over
-  ``workers`` processes (``workers == 1`` with no timeout runs inline —
-  zero fork overhead for cheap points).  Under an installed supervisor
-  the chunk gets the same MAPE pass batch sweeps get
+  :func:`repro.runtime.executor.run_points` loop on the scheduler's
+  :class:`~repro.runtime.executor.WorkerPool` of ``workers`` long-lived
+  processes (``workers == 1`` with no timeout runs inline — zero fork
+  overhead for cheap points).  The pool is forked once and kept across
+  chunks; workers hold what they inherited at fork, so the pool is
+  keyed by ``(spec.fn, installed supervisor, environment)`` and closed
+  and re-forked when any of them changes — a breaker trip pins engine
+  variables into the environment, so the next chunk runs on fresh
+  workers that inherit the pin.  Each re-fork is counted as
+  ``service.pool.reforks``.  The saving therefore assumes traffic with
+  one point function: chunks that alternate between functions re-fork
+  on every switch — at most one fork per worker per chunk, never more
+  than the one fork per point it replaced.  Under an installed
+  supervisor the chunk gets the same MAPE pass batch sweeps get
   (:func:`repro.analysis.sweep._supervise`): engine faults trip
-  breakers, suspect points re-run once on the reference engines.
+  breakers, suspect points re-run once on the reference engines (on a
+  pool scoped to that re-run, forked after the trip).  The loop thread
+  owns the pool and closes it as it exits, so it is never closed under
+  a running chunk.
 * **fan-out** — a completed point's row is normalized into the cache
   and fanned out to *every* follower job; a failure fans out as a
   per-job :class:`~repro.analysis.sweep.PointFailure` (and is never
@@ -40,6 +53,7 @@ crash-recovery contract (see :mod:`repro.service.persistence`) rests on.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -49,7 +63,7 @@ from ..analysis.sweep import _merge_row, _run_grid_point, _supervise
 from ..errors import CheckpointError, ConfigurationError
 from ..runtime import supervisor as supervisor_module
 from ..runtime import trace
-from ..runtime.executor import PointTask, run_points
+from ..runtime.executor import PointTask, WorkerPool, run_points
 from .cache import MISS, ResultCache
 from .jobs import DONE, FAILED, Job, JobSpec
 
@@ -96,6 +110,9 @@ class Scheduler:
         self._wanted: dict[str, list[tuple[Job, int]]] = {}
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        # the loop thread's worker pool and what its workers inherited
+        self._pool: Optional[WorkerPool] = None
+        self._pool_key: Optional[tuple] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -171,12 +188,39 @@ class Scheduler:
     # -- the loop ----------------------------------------------------------
 
     def _loop(self) -> None:
-        while True:
-            chunk = self._next_chunk()
-            if chunk is None:
-                return
-            spec, items = chunk
-            self._run_chunk(spec, items)
+        try:
+            while True:
+                chunk = self._next_chunk()
+                if chunk is None:
+                    return
+                spec, items = chunk
+                self._run_chunk(spec, items)
+        finally:
+            self._close_pool()
+
+    def _pool_for(self, spec: JobSpec) -> Optional[WorkerPool]:
+        """The worker pool for one chunk (None: the chunk runs inline).
+
+        Reused while ``spec.fn``, the installed supervisor and the
+        environment are what the workers were forked with; otherwise the
+        old workers are reaped (counted as ``service.pool.reforks``) and
+        a fresh pool forks on first use.
+        """
+        if self.workers == 1 and spec.timeout is None:
+            return None
+        key = (spec.fn, supervisor_module.current(), dict(os.environ))
+        if self._pool is not None and self._pool_key != key:
+            self._tr.count("service.pool.reforks")
+            self._close_pool()
+        if self._pool is None:
+            self._pool = WorkerPool(_run_grid_point, spec.fn, self.workers)
+            self._pool_key = key
+        return self._pool
+
+    def _close_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = self._pool_key = None
 
     def _next_chunk(self) -> "tuple[JobSpec, list[_WorkItem]] | None":
         """Up to ``batch`` head-of-queue items sharing one spec."""
@@ -238,6 +282,7 @@ class Scheduler:
             backoff=spec.retry_backoff,
             timeout=spec.timeout,
             tracer=self._tr,
+            pool=self._pool_for(spec),
         )
         if sup:
             # the same MAPE pass batch sweeps get: engine faults trip

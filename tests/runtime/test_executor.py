@@ -3,23 +3,28 @@
 from __future__ import annotations
 
 import multiprocessing as mp
+import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
+from repro.analysis.sweep import grid_sweep
 from repro.errors import ConfigurationError, ExecutionError
+from repro.runtime import supervisor as supervisor_module
 from repro.runtime import trace
 from repro.runtime.executor import (
     PointOutcome,
     PointTask,
+    WorkerPool,
     _Attempt,
-    _child_main,
-    _harvest,
-    _Running,
     run_points,
 )
+from repro.runtime.supervisor import Supervisor
 from repro.runtime.trace import Tracer
 
 
@@ -94,6 +99,74 @@ def slow_double(value):
 def slow_boom(value):
     time.sleep(0.5)
     raise ValueError("late boom")
+
+
+def pid_of(value):
+    time.sleep(0.05)  # long enough that both workers take points
+    return os.getpid()
+
+
+def pid_or_hang(value):
+    if value == "hang":
+        time.sleep(60)
+    return os.getpid()
+
+
+def pid_or_die(value):
+    if value == "die":
+        os._exit(17)
+    return os.getpid()
+
+
+def double_or_die(value):
+    if value % 10 == 3:
+        os._exit(17)
+    return value * 2
+
+
+def pid_or_exit(value):
+    if value == "exit":
+        sys.exit(3)
+    return os.getpid()
+
+
+def pid_or_exit_unpicklable(value):
+    if value == "exit":
+        raise SystemExit(lambda: 0)  # the exit code cannot be pickled
+    return os.getpid()
+
+
+def warn_once(value):
+    trace.current().warning("in-worker degradation", point=value)
+    return value
+
+
+class TwoArgError(Exception):
+    """Pickles fine but cannot be rebuilt from its args on unpickling."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def raise_two_arg(value):
+    if value == "bad":
+        raise TwoArgError(1, 2)
+    return value * 2
+
+
+def counting(value):
+    tr = trace.current()
+    tr.count("test.points")
+    with tr.timer("test.point"):
+        return value
+
+
+def engine_or_oom(x):
+    """Faults on the fast agent engine; reports the engine it ran on."""
+    kind = os.environ.get("REPRO_AGENT_ENGINE") or "array"
+    if kind == "array":
+        raise MemoryError("fast engine fault")
+    return {"engine": kind}
 
 
 def tasks_for(values):
@@ -260,28 +333,26 @@ class TestBoundedReap:
 
 
 class TestOrphanedChild:
-    """Regression: a child whose parent already reaped it exits cleanly.
+    """Regression: a worker whose parent already hung up exits cleanly.
 
     When a per-point deadline expires *just* as the work finishes, the
-    parent closes its read end before the child's final ``conn.send``.
-    The send then sees a broken pipe; unguarded, the child died with an
-    unhandled ``BrokenPipeError`` (nonzero exit + stderr traceback).
+    parent closes its end before the worker's reply.  The reply then
+    sees a broken pipe; unguarded, the worker died with an unhandled
+    ``BrokenPipeError`` (nonzero exit + stderr traceback).
     """
 
     @staticmethod
     def _orphan(fn, value):
-        ctx = mp.get_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_child_main,
-            args=(child_conn, call, fn, value, None),
-        )
-        proc.start()
-        child_conn.close()
-        # reap the attempt before the child can report (timeout race)
-        parent_conn.close()
-        proc.join(30)
-        return proc
+        pool = WorkerPool(call, fn, 1)
+        try:
+            run = pool._dispatch(_Attempt(PointTask(0, value)), None)
+            # hang up before the worker can report (timeout race)
+            run.worker.conn.close()
+            proc = run.worker.process
+            proc.join(30)
+            return proc
+        finally:
+            pool.close()
 
     def test_orphaned_ok_send_exits_cleanly(self):
         proc = self._orphan(slow_double, 3)
@@ -350,25 +421,17 @@ class TestDeadlineResultRace:
     the time the deadline check runs is harvested as ``ok``."""
 
     def test_result_in_pipe_beats_expired_deadline(self):
-        ctx = mp.get_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_child_main, args=(child_conn, call, double, 21, None)
-        )
-        proc.start()
-        child_conn.close()
-        assert parent_conn.poll(30)  # the result has arrived …
-        now = time.monotonic()
-        run = _Running(
-            attempt=_Attempt(PointTask(index=0, value=21)),
-            process=proc,
-            conn=parent_conn,
-            started=now - 10.0,
-            deadline=now - 1.0,  # … and the deadline has passed
-        )
-        outcome = _harvest(
-            run, now, timeout=9.0, term_grace=5.0, tr=trace.NULL
-        )
+        with WorkerPool(call, double, 1) as pool:
+            run = pool._dispatch(
+                _Attempt(PointTask(index=0, value=21)), None
+            )
+            assert run.worker.conn.poll(30)  # the result has arrived …
+            now = time.monotonic()
+            run.started = now - 10.0
+            run.deadline = now - 1.0  # … and the deadline has passed
+            outcome = pool._harvest(
+                run, now, timeout=9.0, term_grace=5.0, tr=trace.NULL
+            )
         assert outcome is not None
         assert outcome.ok
         assert outcome.value == 42
@@ -394,3 +457,207 @@ class TestDeadlineResultRace:
         # the slow first attempt took >= 0.6 s; the recorded elapsed is
         # the (fast) final attempt only
         assert outcomes[0].elapsed_s < 0.5
+
+
+class TestWorkerPool:
+    """Long-lived workers: reused across points, replaced one at a time."""
+
+    def test_workers_are_reused(self):
+        outcomes = run_points(
+            call, pid_of, tasks_for(list(range(8))), n_jobs=2
+        )
+        assert all(o.ok for o in outcomes)
+        pids = {o.value for o in outcomes}
+        assert len(pids) <= 2
+        assert os.getpid() not in pids
+
+    def test_timeout_respawns_only_the_hung_worker(self):
+        with WorkerPool(call, pid_or_hang, 2) as pool:
+            first = run_points(
+                call, pid_or_hang, tasks_for([0, 1]), pool=pool
+            )
+            assert len({o.value for o in first}) == 2
+            hung = run_points(
+                call,
+                pid_or_hang,
+                tasks_for(["hang", 0]),
+                pool=pool,
+                timeout=1.0,
+                term_grace=0.5,
+            )
+            assert not hung[0].ok
+            assert "timed out after 1.0s" in hung[0].error
+            survivor = hung[1].value
+            (killed,) = {o.value for o in first} - {survivor}
+            later = run_points(
+                call, pid_or_hang, tasks_for([0, 1, 2, 3]), pool=pool,
+                timeout=30.0,
+            )
+        assert all(o.ok for o in later)
+        later_pids = {o.value for o in later}
+        assert survivor in later_pids
+        assert killed not in later_pids
+
+    def test_dead_worker_is_replaced(self):
+        with WorkerPool(call, pid_or_die, 1) as pool:
+            outcomes = run_points(
+                call, pid_or_die, tasks_for([0, "die", 1, 2]), pool=pool
+            )
+        assert [o.ok for o in outcomes] == [True, False, True, True]
+        assert "died without a result (exitcode 17)" in outcomes[1].error
+        assert outcomes[2].value == outcomes[3].value
+        assert outcomes[2].value != outcomes[0].value
+
+    def test_many_points_more_workers_than_cores_with_deaths(self):
+        """Slot bookkeeping under churn: every point resolves exactly once
+        and in order while workers keep dying and being replaced."""
+        values = list(range(40))
+        start = time.monotonic()
+        outcomes = run_points(
+            call, double_or_die, tasks_for(values), n_jobs=4
+        )
+        assert time.monotonic() - start < 60
+        assert [o.index for o in outcomes] == values
+        for v, o in zip(values, outcomes):
+            if v % 10 == 3:
+                assert not o.ok and "exitcode 17" in o.error
+            else:
+                assert o.ok and o.value == 2 * v
+        assert mp.active_children() == []
+
+    def test_system_exit_reported_and_worker_replaced(self):
+        with WorkerPool(call, pid_or_exit, 1) as pool:
+            outcomes = run_points(
+                call, pid_or_exit, tasks_for([0, "exit", 1]), pool=pool
+            )
+        assert [o.ok for o in outcomes] == [True, False, True]
+        assert outcomes[1].error == "SystemExit: 3"
+        assert outcomes[2].value != outcomes[0].value
+
+    def test_exiting_worker_retires_even_without_its_exception(self):
+        """The exception is dropped from the reply (it cannot be
+        pickled), yet the parent still learns the worker is exiting and
+        never hands it another point."""
+        with WorkerPool(call, pid_or_exit_unpicklable, 1) as pool:
+            (exited,) = run_points(
+                call, pid_or_exit_unpicklable, tasks_for(["exit"]), pool=pool
+            )
+            assert pool._workers == [] and pool._idle == []
+            later = run_points(
+                call, pid_or_exit_unpicklable, tasks_for([0, 1]), pool=pool
+            )
+        assert not exited.ok and exited.error.startswith("SystemExit")
+        assert exited.exception is None
+        assert all(o.ok for o in later)
+
+    def test_unpicklable_input_is_a_failed_outcome(self):
+        tasks = [PointTask(0, lambda: 1), PointTask(1, 2)]
+        outcomes = run_points(call, double, tasks, n_jobs=2, retries=2)
+        assert not outcomes[0].ok
+        assert "task input not picklable" in outcomes[0].error
+        assert outcomes[0].attempts == 1
+        assert outcomes[1].ok and outcomes[1].value == 4
+
+    def test_unrebuildable_exception_is_a_failed_outcome(self):
+        outcomes = run_points(
+            call, raise_two_arg, tasks_for(["bad", 3]), n_jobs=2
+        )
+        assert not outcomes[0].ok
+        assert "worker reply could not be unpickled" in outcomes[0].error
+        assert outcomes[1].ok and outcomes[1].value == 6
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_worker_counters_reach_the_run_tracer(self, n_jobs):
+        tr = Tracer()
+        with trace.use(tr):
+            outcomes = run_points(
+                call, counting, tasks_for(list(range(8))), n_jobs=n_jobs
+            )
+        assert all(o.ok for o in outcomes)
+        assert tr.counters["test.points"] == 8
+        assert tr.timers["test.point"].calls == 8
+
+    def test_worker_events_reach_the_run_tracer_file(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with Tracer(str(path)) as tr, trace.use(tr):
+            outcomes = run_points(
+                call, warn_once, tasks_for(list(range(4))), n_jobs=2
+            )
+        assert all(o.ok for o in outcomes)
+        lines = path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        warned = [r for r in records if r["event"] == "warning"]
+        assert sorted(r["point"] for r in warned) == [0, 1, 2, 3]
+        assert {r["message"] for r in warned} == {"in-worker degradation"}
+        assert tr.counters["warnings"] == 4
+
+    def test_pool_must_match_the_run(self):
+        with WorkerPool(call, double, 2) as pool:
+            with pytest.raises(ConfigurationError, match="different"):
+                run_points(call, boom, tasks_for([1]), pool=pool)
+
+    def test_scoped_pool_leaves_no_children(self):
+        run_points(call, pid_of, tasks_for(list(range(4))), n_jobs=2)
+        assert mp.active_children() == []
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process states from /proc"
+    )
+    def test_workers_exit_when_the_parent_is_killed(self):
+        """A SIGKILLed owner cannot close its pool: the workers must see
+        EOF on their pipes and exit by themselves (no sibling may hold a
+        copy of another worker's parent end)."""
+        script = (
+            "import sys, time\n"
+            "from repro.runtime.executor import WorkerPool, PointTask, "
+            "run_points\n"
+            "def call(fn, v, s): return fn(v)\n"
+            "def pid(v):\n"
+            "    import os; time.sleep(0.05); return os.getpid()\n"
+            "pool = WorkerPool(call, pid, 2)\n"
+            "out = run_points(call, pid, [PointTask(i, i) for i in range(4)],"
+            " pool=pool)\n"
+            "print(' '.join(sorted({str(o.value) for o in out})), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        owner = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            pids = [int(p) for p in owner.stdout.readline().split()]
+            assert len(pids) == 2
+        finally:
+            owner.kill()
+            owner.wait(30)
+            owner.stdout.close()
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    state = fh.read().rsplit(")", 1)[1].split()[0]
+            except OSError:
+                return False
+            return state not in ("Z", "X")
+
+        deadline = time.monotonic() + 30
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
+
+    def test_supervisor_rerun_sees_pinned_engine(self, monkeypatch):
+        monkeypatch.delenv("REPRO_AGENT_ENGINE", raising=False)
+        sup = Supervisor(families=("agents",))
+        with supervisor_module.use(sup):
+            result = grid_sweep(
+                {"x": list(range(4))}, engine_or_oom, n_jobs=2
+            )
+        assert sup.breakers["agents"].state == "open"
+        assert [row["engine"] for row in result.rows] == ["object"] * 4

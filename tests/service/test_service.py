@@ -1,5 +1,7 @@
 """End-to-end tests for :class:`repro.service.ResilienceService`."""
 
+import multiprocessing as mp
+import os
 import time
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro.analysis.sweep import grid_sweep
 from repro.errors import BackpressureError, ConfigurationError, ServiceError
 from repro.runtime import supervisor as supervisor_module
+from repro.runtime import trace
 from repro.runtime.supervisor import Supervisor
 from repro.service import CANCELLED, DONE, FAILED, ResilienceService
 
@@ -27,6 +30,24 @@ def napper(i, seed=None):
 
 def boom(x, seed=None):
     raise ValueError(f"boom at {x}")
+
+
+def counting(x, seed=None):
+    trace.current().count("test.points")
+    return {"x2": 2 * x}
+
+
+def pid_point(x, seed=None):
+    time.sleep(0.02)
+    return {"pid": os.getpid()}
+
+
+def engine_or_oom(x, seed=None):
+    """Faults on the fast agent engine; reports the engine it ran on."""
+    kind = os.environ.get("REPRO_AGENT_ENGINE") or "array"
+    if kind == "array":
+        raise MemoryError("fast engine fault")
+    return {"engine": kind}
 
 
 GRID = {"x": [0, 1, 2, 3]}
@@ -234,6 +255,68 @@ class TestConfiguration:
     def test_empty_service_dir_env_means_in_memory(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_DIR", "")
         assert ResilienceService().persistence is None
+
+
+class TestWorkerPool:
+    """The service keeps one pool of workers for its lifetime."""
+
+    def test_workers_persist_across_jobs(self):
+        with ResilienceService(workers=2) as svc:
+            jobs = [
+                svc.submit(f"exp{k}", pid_point, grid={"x": [0, 1, 2, 3]})
+                for k in range(3)
+            ]
+            assert all(job.wait(30) for job in jobs)
+            assert svc.tracer.counters["service.pool.reforks"] == 0
+        pids = {row["pid"] for job in jobs for row in job.result().rows}
+        assert len(pids) <= 2
+        assert os.getpid() not in pids
+        assert mp.active_children() == []
+
+    def test_two_point_functions_one_a_closure(self):
+        offset = 100
+
+        def shifted(x, seed=None):
+            return {"v": x + offset}
+
+        with ResilienceService(workers=2) as svc:
+            squares = svc.submit("sq", square, grid=GRID)
+            shifts = svc.submit("shift", shifted, grid=GRID)
+            assert squares.wait(30) and shifts.wait(30)
+            again = svc.submit("sq2", square, grid={"x": [4, 5]})
+            assert again.wait(30)
+            # each switch of point function re-forks the pool
+            assert svc.tracer.counters["service.pool.reforks"] == 2
+        assert [r["sq"] for r in squares.result().rows] == [0, 1, 4, 9]
+        assert [r["v"] for r in shifts.result().rows] == [100, 101, 102, 103]
+        assert [r["sq"] for r in again.result().rows] == [16, 25]
+
+    def test_close_reaps_every_worker(self):
+        svc = ResilienceService(workers=2).start()
+        assert svc.submit("exp", square, grid=GRID).wait(30)
+        svc.close()
+        assert mp.active_children() == []
+
+    def test_worker_counters_reach_the_service_tracer(self):
+        with ResilienceService(workers=2) as svc:
+            job = svc.submit("exp", counting, grid={"x": list(range(8))})
+            assert job.wait(30)
+            assert svc.tracer.counters["test.points"] == 8
+
+    def test_trip_reforks_workers_with_the_pinned_engine(self, monkeypatch):
+        """The first chunk trips the breaker and is re-run degraded; the
+        chunks after it run on a re-forked pool that inherited the pin."""
+        monkeypatch.delenv("REPRO_AGENT_ENGINE", raising=False)
+        sup = Supervisor(families=("agents",))
+        with supervisor_module.use(sup):
+            with ResilienceService(workers=2, batch=2) as svc:
+                job = svc.submit(
+                    "exp", engine_or_oom, grid={"x": list(range(6))}
+                )
+                assert job.wait(30)
+                assert svc.tracer.counters["service.pool.reforks"] >= 1
+        assert job.state == DONE
+        assert [r["engine"] for r in job.result().rows] == ["object"] * 6
 
 
 class TestLoadTestDurability:
