@@ -162,6 +162,26 @@ def run_point(
     }
 
 
+#: landmarks every engine must report identically at the same n, and
+#: the stochastic one only the two CSR substrates (``array``, ``mmap``)
+#: share draw-for-draw — the object engine matches it statistically
+AGREE_ALL = ("giant_fraction_0", "critical_fraction")
+AGREE_CSR = ("sir_ever_fraction",)
+
+
+def check_agreement(n: int, points: dict) -> None:
+    """Raise when the engines run at ``n`` report different landmarks."""
+    for key in AGREE_ALL + AGREE_CSR:
+        values = {
+            engine: point[key] for engine, point in points.items()
+            if key in AGREE_ALL or engine != "object"
+        }
+        if len(set(values.values())) > 1:
+            raise RuntimeError(
+                f"scale point n={n}: engines disagree on {key}: {values}"
+            )
+
+
 def time_network_scale(
     smoke: bool = False, budget_mb: float = SCALE_BUDGET_MB
 ) -> dict:
@@ -169,7 +189,10 @@ def time_network_scale(
 
     Returns ``{str(n): {engine: point-dict}}`` — the ``scale_ns`` extra
     of the schema-3 network snapshot.  Points past an engine's cap are
-    simply absent, so n >= 10^6 carries mmap-only columns.
+    simply absent, so n >= 10^6 carries mmap-only columns.  Raises when
+    engines disagree at the same n (see :func:`check_agreement`), so the
+    axis doubles as an equivalence check at sizes the unit tests don't
+    reach.
     """
     ns = SCALE_NS_SMOKE if smoke else SCALE_NS
     caps = SCALE_CAP_SMOKE if smoke else SCALE_CAP
@@ -206,6 +229,7 @@ def time_network_scale(
                 f"sir {point['sir_s']:7.3f} s  "
                 f"rss {point['max_rss_mb']:7.1f} MB"
             )
+        check_agreement(n, axis[str(n)])
     return axis
 
 

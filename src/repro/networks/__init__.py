@@ -19,8 +19,7 @@ from .cascades import (
     modular_graph,
 )
 from .engine import (
-    ArrayNetworkEngine,
-    MmapNetworkEngine,
+    CSRNetworkEngine,
     NetworkEngine,
     ObjectNetworkEngine,
     make_network_engine,
@@ -60,8 +59,7 @@ __all__ = [
     "RandomFailure",
     "TargetedDegreeAttack",
     "make_attack",
-    "ArrayNetworkEngine",
-    "MmapNetworkEngine",
+    "CSRNetworkEngine",
     "NetworkEngine",
     "ObjectNetworkEngine",
     "make_network_engine",

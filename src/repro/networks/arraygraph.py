@@ -1,32 +1,33 @@
-"""CSR array graph and vectorized network-resilience kernels.
+"""In-RAM CSR array graph and the vectorized primitives of its kernels.
 
 The §5.1 experiments (attack percolation, cascades, epidemics, healing)
 were first written over the dict-of-sets :class:`~repro.networks.graph.
 Graph`, whose ``percolation_curve`` recomputes the giant component from
 scratch after every removal — O(n·(n+m)) per curve.  This module is the
-network analogue of :mod:`repro.agents.arrayengine`: the same models on
+network analogue of :mod:`repro.agents.arrayengine`: the same graph as
 a compressed-sparse-row adjacency (int32 ``indices``; ``indptr`` int32
 until ``2·m`` outgrows it, then int64 — see
-:data:`INT32_INDPTR_CAPACITY`) with whole-frontier array kernels:
+:data:`INT32_INDPTR_CAPACITY`) plus the primitives the CSR engine
+builds on:
 
 * **union-find** (path halving + union by size) connected components
   over the CSR edge arrays, with a fully vectorized min-label
   pointer-jumping variant for one-shot component labelling;
-* **reverse Newman–Ziff percolation**: the giant-component curve is
-  built by *adding* nodes in reverse attack order, one near-O(1) union
-  per incident edge — O((n+m)·α) for the whole curve instead of one BFS
-  sweep per checkpoint;
-* **array-frontier BFS** propagation for cascades and epidemics
-  (boolean state masks + ragged CSR row gathers via ``np.repeat`` /
-  ``np.add.at``), with geometric-gap Bernoulli sampling
+* **ragged CSR row gathers** (:func:`gather_rows`, one ``np.repeat``
+  and one ``arange``) — the frontier expansion behind cascades and
+  epidemics — with geometric-gap Bernoulli sampling
   (:func:`bernoulli_indices`) replacing per-edge Python RNG calls;
 * **vectorized attack orderings**: degree ranking via ``np.lexsort``
   (exact ``(-degree, repr)`` tie-breaking, matching the object path
-  bit-for-bit) and an incremental adaptive-degree order.
+  bit-for-bit) and the incremental adaptive-degree order
+  (:func:`adaptive_degree_order`, shared with the memory-mapped graph).
 
-Engine selection lives in :mod:`repro.networks.engine`
-(``make_network_engine`` / ``REPRO_NETWORK_ENGINE``); the equivalence
-contract against the object engine is pinned by
+:class:`ArrayGraph` is the in-RAM substrate of
+:class:`~repro.networks.engine.CSRNetworkEngine`, whose kernels live in
+:mod:`repro.networks.mmapgraph` and treat an in-RAM CSR as one block.
+:func:`newman_ziff_giant_sizes` stays here only as the single-pass
+reference the block-streamed Newman–Ziff kernel is tested against.
+The equivalence contract against the object engine is pinned by
 ``tests/networks/test_arraygraph.py``.
 """
 
@@ -42,6 +43,7 @@ from .graph import Graph
 
 __all__ = [
     "ArrayGraph",
+    "adaptive_degree_order",
     "INT32_INDPTR_CAPACITY",
     "as_arraygraph",
     "bernoulli_indices",
@@ -64,7 +66,7 @@ class ArrayGraph:
 
     ``indices[indptr[i]:indptr[i+1]]`` are the neighbors of node ``i``
     (both int32).  Arbitrary hashable node labels are kept in a side
-    table so the array engine speaks the same node vocabulary as
+    table so the CSR engine speaks the same node vocabulary as
     :class:`~repro.networks.graph.Graph`; kernels work purely on the
     integer indices.
     """
@@ -327,31 +329,39 @@ class ArrayGraph:
         return [labels[int(i)] for i in order]
 
     def adaptive_degree_removal_order(self) -> list:
-        """Recompute-degree removal order (max ``(degree, repr)`` each step).
+        """Recompute-degree removal order (:func:`adaptive_degree_order`)."""
+        return adaptive_degree_order(self.indptr, self.indices, self.labels)
 
-        Incremental: removing a node decrements its live neighbors'
-        degrees instead of rebuilding the graph, so the whole order costs
-        O(n² bitmask scans + m updates) in vectorized primitives rather
-        than n graph copies.
-        """
-        n = self.n_nodes
-        deg = self.degree_array().copy()
-        active = np.ones(n, dtype=bool)
-        indptr, indices, labels = self.indptr, self.indices, self.labels
-        order: list = []
-        for _ in range(n):
-            top = int(np.max(np.where(active, deg, -1)))
-            cands = np.flatnonzero(active & (deg == top))
-            if len(cands) == 1:
-                pick = int(cands[0])
-            else:
-                pick = int(max(cands, key=lambda i: repr(labels[int(i)])))
-            order.append(labels[pick])
-            active[pick] = False
-            nbrs = indices[indptr[pick]:indptr[pick + 1]]
-            live = nbrs[active[nbrs]]
-            deg[live] -= 1
-        return order
+
+def adaptive_degree_order(
+    indptr: np.ndarray, indices: np.ndarray, labels: Sequence[object]
+) -> list:
+    """Recompute-degree removal order (max ``(degree, repr)`` each step).
+
+    Incremental: removing a node decrements its live neighbors' degrees
+    instead of rebuilding the graph, so the whole order costs O(n²
+    bitmask scans + m updates) in vectorized primitives rather than n
+    graph copies — still a small-graph tool.  Shared by
+    :class:`ArrayGraph` and :class:`~repro.networks.mmapgraph.MmapGraph`
+    (``indices`` may be a memmap).
+    """
+    n = len(indptr) - 1
+    deg = np.diff(indptr).astype(np.int64)
+    active = np.ones(n, dtype=bool)
+    order: list = []
+    for _ in range(n):
+        top = int(np.max(np.where(active, deg, -1)))
+        cands = np.flatnonzero(active & (deg == top))
+        if len(cands) == 1:
+            pick = int(cands[0])
+        else:
+            pick = int(max(cands, key=lambda i: repr(labels[int(i)])))
+        order.append(labels[pick])
+        active[pick] = False
+        nbrs = np.asarray(indices[indptr[pick]:indptr[pick + 1]])
+        live = nbrs[active[nbrs]]
+        deg[live] -= 1
+    return order
 
 
 # -- conversion cache ------------------------------------------------------
@@ -518,8 +528,9 @@ def newman_ziff_giant_sizes(
 
     Because the giant component is monotone under additions, evaluating
     a removal process in reverse turns O(checkpoints · BFS) into one
-    O((n + m)·α) sweep — the tentpole speedup behind the array
-    percolation and healing engines.
+    O((n + m)·α) sweep.  The engine runs the block-streamed
+    :func:`~repro.networks.mmapgraph.chunked_newman_ziff_giant_sizes`;
+    this single-pass version is the reference its tests compare against.
     """
     n = len(indptr) - 1
     parent = list(range(n))

@@ -1,4 +1,4 @@
-"""Network engine selection: reference object kernels vs CSR array kernels.
+"""Network engine selection: reference object kernels vs one CSR engine.
 
 Mirrors :func:`repro.agents.arrayengine.make_engine` for the network
 substrate.  :func:`make_network_engine` resolves an engine ``kind``
@@ -14,29 +14,31 @@ opts in.  :func:`~repro.networks.percolation.percolation_curve`,
 their hot loops through the resolved engine.
 
 The object engine hosts the original dict-of-sets loops verbatim (same
-RNG draw order, same float accumulation order).  The array engine runs
-the CSR kernels from :mod:`repro.networks.arraygraph`; deterministic
-quantities (component sizes, percolation curves, load-cascade failure
-sets, healing quality traces) match the object engine exactly, while
-stochastic spreading (probabilistic cascades, SIS/SIR) draws its
-randomness in frontier batches and therefore matches statistically over
-seeds rather than draw-for-draw — the same equivalence contract as the
-agents array engine.  The mmap engine runs the chunked out-of-core
-kernels from :mod:`repro.networks.mmapgraph` over memory-mapped CSR
-files; its outputs — deterministic *and* stochastic — are
-byte-identical to the array engine on the same graph, and the array
-engine degrades to it (rather than OOM-ing) when the supervisor's
-memory budget says the in-RAM kernels won't fit.  All engines report
-``net.*`` timers/counters through :mod:`repro.runtime.trace`.
+RNG draw order, same float accumulation order).  ``array`` and ``mmap``
+are one :class:`CSRNetworkEngine` on two substrates: the same block-
+streamed kernels run over an in-RAM :class:`~repro.networks.arraygraph.
+ArrayGraph` (one block holding the whole graph) or a memory-mapped
+:class:`~repro.networks.mmapgraph.MmapGraph` (blocks sized from the
+supervisor's memory budget), and ``array`` spills to disk rather than
+OOM-ing when that budget says the graph won't fit in RAM.
+Deterministic quantities (component sizes, percolation curves,
+load-cascade failure sets, healing quality traces) match the object
+engine exactly; stochastic spreading (probabilistic cascades, SIS/SIR)
+draws its randomness in frontier batches and therefore matches the
+object engine statistically over seeds rather than draw-for-draw — but
+is byte-identical across the two substrates and every block size.  All
+engines report ``net.*`` timers/counters through
+:mod:`repro.runtime.trace`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, Sequence, Set
+from typing import Dict, Sequence, Set
 
 import numpy as np
 
+from ..errors import EngineError
 from ..runtime import supervisor, trace
 from ..runtime.engines import resolve_engine_kind
 from .arraygraph import (
@@ -44,7 +46,6 @@ from .arraygraph import (
     as_arraygraph,
     bernoulli_indices,
     gather_rows,
-    newman_ziff_giant_sizes,
 )
 from .graph import Graph
 from .mmapgraph import (
@@ -57,8 +58,7 @@ from .mmapgraph import (
 )
 
 __all__ = [
-    "ArrayNetworkEngine",
-    "MmapNetworkEngine",
+    "CSRNetworkEngine",
     "NetworkEngine",
     "ObjectNetworkEngine",
     "make_network_engine",
@@ -281,32 +281,50 @@ class ObjectNetworkEngine(NetworkEngine):
         return times, quality, fully
 
 
-class ArrayNetworkEngine(NetworkEngine):
-    """CSR array kernels (see :mod:`repro.networks.arraygraph`).
+class CSRNetworkEngine(NetworkEngine):
+    """One copy of every CSR kernel, over an in-RAM or memory-mapped graph.
 
-    A MAPE memory guard fronts every kernel: when the supervisor carries
-    a ``memory_budget_mb`` and :func:`~repro.networks.mmapgraph.
-    estimate_graph_bytes` says the in-RAM kernels would exceed it — or
-    when the input is already an :class:`~repro.networks.mmapgraph.
-    MmapGraph` — the call degrades to the chunked
-    :class:`MmapNetworkEngine` instead of OOM-ing (the network mirror of
-    the bit-CSP compile pre-emption).
+    The substrate is picked per call: an :class:`~repro.networks.
+    mmapgraph.MmapGraph` input stays on disk; an in-RAM input becomes an
+    :class:`~repro.networks.arraygraph.ArrayGraph` under kind ``array``
+    and is spilled with :func:`~repro.networks.mmapgraph.as_mmapgraph`
+    under kind ``mmap``.  Kind ``array`` also spills — counted
+    ``net.mmap.degrades`` + ``supervisor.preemptions`` and warned — when
+    :func:`~repro.networks.mmapgraph.estimate_graph_bytes` says the
+    graph would exceed the supervisor's ``memory_budget_mb`` (the
+    network mirror of the bit-CSP compile pre-emption).
+
+    Every kernel walks the CSR ``indices`` in blocks: one block holding
+    the whole graph in RAM, :func:`~repro.networks.mmapgraph.
+    derive_chunk_elems` of the budget on a memmap.  Newman–Ziff
+    percolation and healing stream through :func:`~repro.networks.
+    mmapgraph.chunked_newman_ziff_giant_sizes`; cascades and SIS/SIR
+    expand their frontiers block by block with one Bernoulli draw per
+    frontier, so outputs — deterministic and stochastic — are
+    byte-identical on both substrates and at every block size.
+    ``block_elems`` overrides the block size (the equivalence tests
+    sweep block boundaries with it).  Timers and counters carry the
+    substrate as suffix (``net.curves.array``, ``net.curves.mmap``, …).
     """
 
-    name = "array"
+    def __init__(self, kind: str = "array",
+                 block_elems: "int | None" = None):
+        if kind not in ("array", "mmap"):
+            raise EngineError(
+                f"CSR engine kind must be 'array' or 'mmap', got {kind!r}"
+            )
+        self.name = kind
+        self._block_elems = block_elems
 
-    @staticmethod
-    def _mmap_delegate(g) -> "MmapNetworkEngine | None":
-        """The chunked engine to run instead, or None to stay in RAM."""
+    def _csr(self, g) -> "ArrayGraph | MmapGraph":
+        """The substrate this call's kernels run on (see class docs)."""
         if isinstance(g, MmapGraph):
-            return MmapNetworkEngine()
-        estimate = estimate_graph_bytes(g)
-        budget = supervisor.current().memory_budget_bytes()
-        if (
-            estimate is not None
-            and budget is not None
-            and estimate > budget
-        ):
+            return g
+        if self.name == "array":
+            estimate = estimate_graph_bytes(g)
+            budget = supervisor.current().memory_budget_bytes()
+            if estimate is None or budget is None or estimate <= budget:
+                return as_arraygraph(g)
             tr = trace.current()
             tr.count("net.mmap.degrades")
             tr.count("supervisor.preemptions")
@@ -316,293 +334,60 @@ class ArrayNetworkEngine(NetworkEngine):
                 estimated_bytes=estimate,
                 budget_bytes=budget,
             )
-            return MmapNetworkEngine()
-        return None
-
-    def ordering_graph(self, g):
-        mm = self._mmap_delegate(g)
-        if mm is not None:
-            return mm.ordering_graph(g)
-        return as_arraygraph(g)
-
-    def percolation_giant_sizes(self, g, order, checkpoints):
-        mm = self._mmap_delegate(g)
-        if mm is not None:
-            return mm.percolation_giant_sizes(g, order, checkpoints)
-        ag = as_arraygraph(g)
-        tr = trace.current()
-        with tr.timer("net.percolation.array"):
-            n = ag.n_nodes
-            order_idx = ag.indices_of(order)
-            # removals evaluated in reverse as Newman–Ziff additions
-            sizes = newman_ziff_giant_sizes(
-                ag.indptr, ag.indices, order_idx[::-1]
-            )
-            out = [int(sizes[n])]
-            out.extend(int(sizes[n - i]) for i in checkpoints)
-        tr.count("net.curves.array")
-        tr.count("net.nz_nodes.array", n)
-        return out
-
-    def load_cascade(self, graph, initial_load, capacity, seeds):
-        mm = self._mmap_delegate(graph)
-        if mm is not None:
-            return mm.load_cascade(graph, initial_load, capacity, seeds)
-        ag = as_arraygraph(graph)
-        tr = trace.current()
-        with tr.timer("net.cascade.array"):
-            n = ag.n_nodes
-            labels = ag.labels
-            load = np.asarray(
-                [initial_load[lab] for lab in labels], dtype=float
-            )
-            cap = np.asarray(
-                [capacity[lab] for lab in labels], dtype=float
-            )
-            failed = np.zeros(n, dtype=bool)
-            wave = np.sort(ag.indices_of(seeds))
-            waves = 0
-            while wave.size:
-                waves += 1
-                failed[wave] = True
-                flat, counts = gather_rows(ag.indptr, ag.indices, wave)
-                flat = flat.astype(np.int64)
-                live = ~failed[flat]
-                owner_pos = np.repeat(
-                    np.arange(len(wave), dtype=np.int64), counts
-                )
-                live_counts = np.bincount(
-                    owner_pos, weights=live, minlength=len(wave)
-                )
-                share = np.zeros(len(wave))
-                has_live = live_counts > 0
-                share[has_live] = load[wave[has_live]] / \
-                    live_counts[has_live]
-                np.add.at(load, flat[live], np.repeat(share, counts)[live])
-                wave = np.flatnonzero(~failed & (load > cap))
-            failed_labels = {labels[int(i)] for i in np.flatnonzero(failed)}
-        tr.count("net.cascades.array")
-        return failed_labels, waves
-
-    def spread_cascade(self, graph, spread_p, seeds, rng):
-        mm = self._mmap_delegate(graph)
-        if mm is not None:
-            return mm.spread_cascade(graph, spread_p, seeds, rng)
-        ag = as_arraygraph(graph)
-        tr = trace.current()
-        with tr.timer("net.cascade.array"):
-            labels = ag.labels
-            failed = np.zeros(ag.n_nodes, dtype=bool)
-            wave = np.sort(ag.indices_of(seeds))
-            failed[wave] = True
-            waves = 0
-            while wave.size:
-                waves += 1
-                flat, _ = gather_rows(ag.indptr, ag.indices, wave)
-                flat = flat.astype(np.int64)
-                candidates = flat[~failed[flat]]
-                hits = bernoulli_indices(rng, candidates.size, spread_p)
-                new = np.unique(candidates[hits])
-                failed[new] = True
-                wave = new
-            failed_labels = {labels[int(i)] for i in np.flatnonzero(failed)}
-        tr.count("net.cascades.array")
-        return failed_labels, waves
-
-    def _epidemic(self, ag, beta, gamma, immune_mask, infected_mask,
-                  max_steps, rng, recovered_mask):
-        """Shared SIS/SIR frontier loop (SIR passes a recovered mask)."""
-        indptr, indices = ag.indptr, ag.indices
-        ever = infected_mask.copy()
-        counts = [int(infected_mask.sum())]
-        for _ in range(max_steps):
-            infected_idx = np.flatnonzero(infected_mask)
-            if infected_idx.size == 0:
-                break
-            flat, _ = gather_rows(indptr, indices, infected_idx)
-            flat = flat.astype(np.int64)
-            susceptible = ~infected_mask[flat] & ~immune_mask[flat]
-            if recovered_mask is not None:
-                susceptible &= ~recovered_mask[flat]
-            candidates = flat[susceptible]
-            hits = bernoulli_indices(rng, candidates.size, beta)
-            new = candidates[hits]
-            recs = bernoulli_indices(rng, infected_idx.size, gamma)
-            recovered_now = infected_idx[recs]
-            infected_mask[recovered_now] = False
-            if recovered_mask is not None:
-                recovered_mask[recovered_now] = True
-            infected_mask[new] = True
-            ever[new] = True
-            counts.append(int(infected_mask.sum()))
-        return counts, infected_mask, int(ever.sum())
-
-    def _run_epidemic(self, graph, beta, gamma, immune, infected,
-                      max_steps, rng, with_recovered):
-        mm = self._mmap_delegate(graph)
-        if mm is not None:
-            return mm._run_epidemic(
-                graph, beta, gamma, immune, infected, max_steps, rng,
-                with_recovered,
-            )
-        ag = as_arraygraph(graph)
-        tr = trace.current()
-        with tr.timer("net.epidemic.array"):
-            n = ag.n_nodes
-            immune_mask = np.zeros(n, dtype=bool)
-            if immune:
-                immune_mask[ag.indices_of(immune)] = True
-            infected_mask = np.zeros(n, dtype=bool)
-            if infected:
-                infected_mask[ag.indices_of(infected)] = True
-            recovered_mask = (
-                np.zeros(n, dtype=bool) if with_recovered else None
-            )
-            counts, infected_mask, ever = self._epidemic(
-                ag, beta, gamma, immune_mask, infected_mask,
-                max_steps, rng, recovered_mask,
-            )
-            labels = ag.labels
-            final = {
-                labels[int(i)] for i in np.flatnonzero(infected_mask)
-            }
-        tr.count("net.epidemic.runs.array")
-        tr.count("net.epidemic.steps.array", len(counts) - 1)
-        return counts, final, ever
-
-    def sis(self, graph, beta, gamma, immune, infected, steps, rng):
-        return self._run_epidemic(
-            graph, beta, gamma, immune, infected, steps, rng,
-            with_recovered=False,
-        )
-
-    def sir(self, graph, beta, gamma, immune, infected, max_steps, rng):
-        return self._run_epidemic(
-            graph, beta, gamma, immune, infected, max_steps, rng,
-            with_recovered=True,
-        )
-
-    def healing_episode(self, graph, to_remove, repairs_per_step,
-                        horizon, shock_time):
-        mm = self._mmap_delegate(graph)
-        if mm is not None:
-            return mm.healing_episode(
-                graph, to_remove, repairs_per_step, horizon, shock_time
-            )
-        ag = as_arraygraph(graph)
-        tr = trace.current()
-        with tr.timer("net.healing.array"):
-            n = ag.n_nodes
-            removed_idx = ag.indices_of(to_remove)
-            n_removed = len(removed_idx)
-            base = np.ones(n, dtype=bool)
-            base[removed_idx] = False
-            # one Newman–Ziff pass: survivors first, then victims restored
-            # in triage order — sizes[k] is the giant with k nodes healed
-            sizes = newman_ziff_giant_sizes(
-                ag.indptr, ag.indices, removed_idx,
-                base=np.flatnonzero(base),
-            )
-            full = int(sizes[n_removed])
-            times: list[float] = []
-            quality: list[float] = []
-            restored = 0
-            for t in range(horizon):
-                if t == shock_time:
-                    giant = int(sizes[0])
-                elif t > shock_time:
-                    if repairs_per_step > 0 and restored < n_removed:
-                        restored = min(
-                            n_removed, restored + repairs_per_step
-                        )
-                    giant = int(sizes[restored])
-                else:
-                    giant = full
-                times.append(float(t))
-                quality.append(100.0 * giant / n)
-            fully = restored == n_removed and full == n
-        tr.count("net.healing.runs.array")
-        return times, quality, fully
-
-
-class MmapNetworkEngine(NetworkEngine):
-    """Chunked kernels over memory-mapped CSR graphs (out-of-core).
-
-    Every hot loop of :class:`ArrayNetworkEngine` re-expressed as a walk
-    over fixed-size blocks of the (memory-mapped) ``indices`` array, so
-    peak RSS is O(n + block) instead of O(n + m·45-bytes-per-boxed-int):
-    Newman–Ziff percolation and healing stream additions through
-    :func:`~repro.networks.mmapgraph.chunked_newman_ziff_giant_sizes`,
-    cascades and SIS/SIR expand their frontiers block-by-block with a
-    two-pass draw that consumes the RNG exactly as the single-gather
-    array kernels do.  Deterministic outputs (curves, cascade failure
-    sets, healing traces) and stochastic draws alike are byte-identical
-    to the array engine on the same graph — this kind trades wall-clock
-    (~2-4x on in-RAM sizes) for a bounded memory envelope, which is why
-    the supervisor degrades *to* it rather than selecting it by default.
-
-    The block size comes from the supervisor's ``memory_budget_mb`` via
-    :func:`~repro.networks.mmapgraph.derive_chunk_elems` (or an explicit
-    ``block_elems``, used by the equivalence tests to sweep block
-    boundaries).
-    """
-
-    name = "mmap"
-
-    def __init__(self, block_elems: "int | None" = None):
-        self._block_elems = block_elems
-
-    def _block(self) -> int:
-        if self._block_elems is not None:
-            return self._block_elems
-        return derive_chunk_elems(
-            supervisor.current().memory_budget_bytes()
-        )
-
-    def ordering_graph(self, g):
         return as_mmapgraph(g)
 
+    def _block(self, csr) -> int:
+        if self._block_elems is not None:
+            return self._block_elems
+        if isinstance(csr, MmapGraph):
+            return derive_chunk_elems(
+                supervisor.current().memory_budget_bytes()
+            )
+        return max(1, len(csr.indices))
+
+    def ordering_graph(self, g):
+        return self._csr(g)
+
     def percolation_giant_sizes(self, g, order, checkpoints):
-        mg = as_mmapgraph(g)
+        csr = self._csr(g)
+        sub = _substrate(csr)
         tr = trace.current()
-        with tr.timer("net.percolation.mmap"):
-            n = mg.n_nodes
-            order_idx = mg.indices_of(order)
-            # removals evaluated in reverse as Newman–Ziff additions,
-            # neighbor lists arriving in budget-sized blocks
+        with tr.timer(f"net.percolation.{sub}"):
+            n = csr.n_nodes
+            # removals evaluated in reverse as Newman–Ziff additions
             sizes = chunked_newman_ziff_giant_sizes(
-                mg.indptr, mg.indices, order_idx[::-1],
-                block_elems=self._block(),
+                csr.indptr, csr.indices, csr.indices_of(order)[::-1],
+                block_elems=self._block(csr),
             )
             out = [int(sizes[n])]
             out.extend(int(sizes[n - i]) for i in checkpoints)
-        tr.count("net.curves.mmap")
-        tr.count("net.nz_nodes.mmap", n)
+        tr.count(f"net.curves.{sub}")
+        tr.count(f"net.nz_nodes.{sub}", n)
         return out
 
     def load_cascade(self, graph, initial_load, capacity, seeds):
-        mg = as_mmapgraph(graph)
+        csr = self._csr(graph)
+        sub = _substrate(csr)
         tr = trace.current()
-        with tr.timer("net.cascade.mmap"):
-            n = mg.n_nodes
-            labels = mg.labels
+        with tr.timer(f"net.cascade.{sub}"):
+            labels = csr.labels
             load = np.asarray(
                 [initial_load[lab] for lab in labels], dtype=float
             )
             cap = np.asarray(
                 [capacity[lab] for lab in labels], dtype=float
             )
-            failed = np.zeros(n, dtype=bool)
-            wave = np.sort(mg.indices_of(seeds))
+            failed = np.zeros(csr.n_nodes, dtype=bool)
+            wave = np.sort(csr.indices_of(seeds))
             waves = 0
-            block = self._block()
-            indptr, indices = mg.indptr, mg.indices
+            block = self._block(csr)
+            indptr, indices = csr.indptr, csr.indices
             while wave.size:
                 waves += 1
                 failed[wave] = True
-                # snapshot pre-redistribution loads: later blocks must
-                # compute shares from the same values the array engine's
-                # single gather reads, not from partially-updated loads
+                # snapshot pre-redistribution loads: every block computes
+                # its shares from the wave's loads, not from loads that
+                # earlier blocks already topped up
                 wave_load = load[wave]
                 for a, b in frontier_slices(indptr, wave, block):
                     rows = wave[a:b]
@@ -624,30 +409,41 @@ class MmapNetworkEngine(NetworkEngine):
                     )
                 wave = np.flatnonzero(~failed & (load > cap))
             failed_labels = {labels[int(i)] for i in np.flatnonzero(failed)}
-        tr.count("net.cascades.mmap")
+        tr.count(f"net.cascades.{sub}")
         return failed_labels, waves
 
-    def _frontier_hits(self, mg, rows, candidate_mask, p, rng, block):
-        """``candidates[hits]`` of the array kernels, without the gather.
+    @staticmethod
+    def _frontier_hits(csr, rows, candidate_mask, p, rng, block):
+        """``candidates[hits]``: one Bernoulli(p) draw per candidate.
 
-        Pass 1 counts candidates per block (mask state frozen by the
-        caller until this returns), a single
-        :func:`~repro.networks.arraygraph.bernoulli_indices` draw then
-        covers the whole frontier — the exact RNG consumption of the
-        single-gather array kernels — and pass 2 re-gathers only the
-        blocks holding hits to emit their candidates in frontier order.
+        Candidates are the gathered neighbors of ``rows`` passing
+        ``candidate_mask`` (mask state frozen by the caller until this
+        returns).  Pass 1 gathers the frontier block by block and counts
+        them; a single :func:`~repro.networks.arraygraph.
+        bernoulli_indices` draw then covers the whole frontier, so the
+        RNG is consumed identically at every block size.  Pass 1 keeps
+        its candidates while they fit in one block — a frontier that
+        fits one block is gathered once; otherwise pass 2 re-gathers
+        only the blocks holding hits, in frontier order.
         """
-        indptr, indices = mg.indptr, mg.indices
+        indptr, indices = csr.indptr, csr.indices
         bounds = list(frontier_slices(indptr, rows, block))
         counts = np.empty(len(bounds), dtype=np.int64)
+        kept: list[np.ndarray] = []
+        held = 0
         for k, (a, b) in enumerate(bounds):
             flat, _ = gather_rows(indptr, indices, rows[a:b])
-            counts[k] = int(
-                np.count_nonzero(candidate_mask(flat.astype(np.int64)))
-            )
-        hits = bernoulli_indices(rng, int(counts.sum()), p)
+            flat = flat.astype(np.int64)
+            cands = flat[candidate_mask(flat)]
+            counts[k] = len(cands)
+            held += len(cands)
+            if held <= block:
+                kept.append(cands)
+        hits = bernoulli_indices(rng, held, p)
         if len(hits) == 0:
             return np.empty(0, dtype=np.int64)
+        if held <= block:
+            return np.concatenate(kept)[hits]
         out = []
         offsets = np.concatenate(([0], np.cumsum(counts)))
         for k, (a, b) in enumerate(bounds):
@@ -661,113 +457,109 @@ class MmapNetworkEngine(NetworkEngine):
         return np.concatenate(out)
 
     def spread_cascade(self, graph, spread_p, seeds, rng):
-        mg = as_mmapgraph(graph)
+        csr = self._csr(graph)
+        sub = _substrate(csr)
         tr = trace.current()
-        with tr.timer("net.cascade.mmap"):
-            labels = mg.labels
-            failed = np.zeros(mg.n_nodes, dtype=bool)
-            wave = np.sort(mg.indices_of(seeds))
+        with tr.timer(f"net.cascade.{sub}"):
+            failed = np.zeros(csr.n_nodes, dtype=bool)
+            wave = np.sort(csr.indices_of(seeds))
             failed[wave] = True
             waves = 0
-            block = self._block()
+            block = self._block(csr)
             while wave.size:
                 waves += 1
                 hit = self._frontier_hits(
-                    mg, wave, lambda flat: ~failed[flat],
+                    csr, wave, lambda flat: ~failed[flat],
                     spread_p, rng, block,
                 )
-                new = np.unique(hit)
-                failed[new] = True
-                wave = new
+                wave = np.unique(hit)
+                failed[wave] = True
+            labels = csr.labels
             failed_labels = {labels[int(i)] for i in np.flatnonzero(failed)}
-        tr.count("net.cascades.mmap")
+        tr.count(f"net.cascades.{sub}")
         return failed_labels, waves
 
-    def _epidemic(self, mg, beta, gamma, immune_mask, infected_mask,
-                  max_steps, rng, recovered_mask):
-        """Shared SIS/SIR chunked-frontier loop (SIR passes a mask)."""
-        block = self._block()
-        ever = infected_mask.copy()
-        counts = [int(infected_mask.sum())]
-
-        def candidate_mask(flat):
-            m = ~infected_mask[flat] & ~immune_mask[flat]
-            if recovered_mask is not None:
-                m &= ~recovered_mask[flat]
-            return m
-
-        for _ in range(max_steps):
-            infected_idx = np.flatnonzero(infected_mask)
-            if infected_idx.size == 0:
-                break
-            # masks are mutated only after both draws, so pass 1 and
-            # pass 2 of the frontier see identical candidate sets
-            new = self._frontier_hits(
-                mg, infected_idx, candidate_mask, beta, rng, block
-            )
-            recs = bernoulli_indices(rng, infected_idx.size, gamma)
-            recovered_now = infected_idx[recs]
-            infected_mask[recovered_now] = False
-            if recovered_mask is not None:
-                recovered_mask[recovered_now] = True
-            infected_mask[new] = True
-            ever[new] = True
-            counts.append(int(infected_mask.sum()))
-        return counts, infected_mask, int(ever.sum())
-
-    def _run_epidemic(self, graph, beta, gamma, immune, infected,
-                      max_steps, rng, with_recovered):
-        mg = as_mmapgraph(graph)
+    def _epidemic(self, graph, beta, gamma, immune, infected, max_steps,
+                  rng, with_recovered):
+        """Shared SIS/SIR frontier loop (SIR tracks a recovered mask)."""
+        csr = self._csr(graph)
+        sub = _substrate(csr)
         tr = trace.current()
-        with tr.timer("net.epidemic.mmap"):
-            n = mg.n_nodes
+        with tr.timer(f"net.epidemic.{sub}"):
+            n = csr.n_nodes
             immune_mask = np.zeros(n, dtype=bool)
             if immune:
-                immune_mask[mg.indices_of(immune)] = True
+                immune_mask[csr.indices_of(immune)] = True
             infected_mask = np.zeros(n, dtype=bool)
             if infected:
-                infected_mask[mg.indices_of(infected)] = True
+                infected_mask[csr.indices_of(infected)] = True
             recovered_mask = (
                 np.zeros(n, dtype=bool) if with_recovered else None
             )
-            counts, infected_mask, ever = self._epidemic(
-                mg, beta, gamma, immune_mask, infected_mask,
-                max_steps, rng, recovered_mask,
-            )
-            labels = mg.labels
+
+            def candidate_mask(flat):
+                m = ~infected_mask[flat] & ~immune_mask[flat]
+                if recovered_mask is not None:
+                    m &= ~recovered_mask[flat]
+                return m
+
+            block = self._block(csr)
+            ever = infected_mask.copy()
+            counts = [int(infected_mask.sum())]
+            for _ in range(max_steps):
+                infected_idx = np.flatnonzero(infected_mask)
+                if infected_idx.size == 0:
+                    break
+                # masks change only after both draws, so every block of
+                # the frontier sees the same candidate set
+                new = self._frontier_hits(
+                    csr, infected_idx, candidate_mask, beta, rng, block
+                )
+                recs = bernoulli_indices(rng, infected_idx.size, gamma)
+                recovered_now = infected_idx[recs]
+                infected_mask[recovered_now] = False
+                if recovered_mask is not None:
+                    recovered_mask[recovered_now] = True
+                infected_mask[new] = True
+                ever[new] = True
+                counts.append(int(infected_mask.sum()))
+            labels = csr.labels
             final = {
                 labels[int(i)] for i in np.flatnonzero(infected_mask)
             }
-        tr.count("net.epidemic.runs.mmap")
-        tr.count("net.epidemic.steps.mmap", len(counts) - 1)
-        return counts, final, ever
+        tr.count(f"net.epidemic.runs.{sub}")
+        tr.count(f"net.epidemic.steps.{sub}", len(counts) - 1)
+        return counts, final, int(ever.sum())
 
     def sis(self, graph, beta, gamma, immune, infected, steps, rng):
-        return self._run_epidemic(
+        return self._epidemic(
             graph, beta, gamma, immune, infected, steps, rng,
             with_recovered=False,
         )
 
     def sir(self, graph, beta, gamma, immune, infected, max_steps, rng):
-        return self._run_epidemic(
+        return self._epidemic(
             graph, beta, gamma, immune, infected, max_steps, rng,
             with_recovered=True,
         )
 
     def healing_episode(self, graph, to_remove, repairs_per_step,
                         horizon, shock_time):
-        mg = as_mmapgraph(graph)
+        csr = self._csr(graph)
+        sub = _substrate(csr)
         tr = trace.current()
-        with tr.timer("net.healing.mmap"):
-            n = mg.n_nodes
-            removed_idx = mg.indices_of(to_remove)
+        with tr.timer(f"net.healing.{sub}"):
+            n = csr.n_nodes
+            removed_idx = csr.indices_of(to_remove)
             n_removed = len(removed_idx)
             base = np.ones(n, dtype=bool)
             base[removed_idx] = False
+            # one Newman–Ziff pass: survivors first, then victims restored
+            # in triage order — sizes[k] is the giant with k nodes healed
             sizes = chunked_newman_ziff_giant_sizes(
-                mg.indptr, mg.indices, removed_idx,
+                csr.indptr, csr.indices, removed_idx,
                 base=np.flatnonzero(base),
-                block_elems=self._block(),
+                block_elems=self._block(csr),
             )
             full = int(sizes[n_removed])
             times: list[float] = []
@@ -787,15 +579,13 @@ class MmapNetworkEngine(NetworkEngine):
                 times.append(float(t))
                 quality.append(100.0 * giant / n)
             fully = restored == n_removed and full == n
-        tr.count("net.healing.runs.mmap")
+        tr.count(f"net.healing.runs.{sub}")
         return times, quality, fully
 
 
-_ENGINES = {
-    "object": ObjectNetworkEngine,
-    "array": ArrayNetworkEngine,
-    "mmap": MmapNetworkEngine,
-}
+def _substrate(csr) -> str:
+    """Timer/counter suffix naming where ``csr``'s arrays live."""
+    return "mmap" if isinstance(csr, MmapGraph) else "array"
 
 
 def make_network_engine(
@@ -803,16 +593,21 @@ def make_network_engine(
 ) -> NetworkEngine:
     """Resolve a network engine: ``'object'``, ``'array'``, or ``'mmap'``.
 
-    ``kind=None`` reads the ``REPRO_NETWORK_ENGINE`` environment variable
-    and defaults to ``'object'``, preserving pre-array behavior unless a
-    run opts in; an already-constructed engine passes through unchanged.
+    ``'array'`` and ``'mmap'`` are the in-RAM and memory-mapped
+    substrates of one :class:`CSRNetworkEngine`.  ``kind=None`` reads
+    the ``REPRO_NETWORK_ENGINE`` environment variable and defaults to
+    ``'object'``, preserving pre-array behavior unless a run opts in; an
+    already-constructed engine passes through unchanged.
     Unrecognized values — passed directly or set in the environment —
     raise :class:`~repro.errors.EngineError` naming the valid choices
     (resolution shared with the other seams via
     :func:`repro.runtime.engines.resolve_engine_kind`; an installed MAPE
-    supervisor may degrade ``array`` to ``object`` while its breaker is
-    open).
+    supervisor may degrade ``array``/``mmap`` to ``object`` while its
+    breaker is open).
     """
     if isinstance(kind, NetworkEngine):
         return kind
-    return _ENGINES[resolve_engine_kind("networks", kind)]()
+    kind = resolve_engine_kind("networks", kind)
+    if kind == "object":
+        return ObjectNetworkEngine()
+    return CSRNetworkEngine(kind)

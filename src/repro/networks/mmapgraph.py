@@ -1,12 +1,12 @@
-"""Out-of-core CSR graphs: memory-mapped adjacency + chunked kernels.
+"""Out-of-core CSR graphs: memory-mapped adjacency + block-streamed kernels.
 
 :class:`~repro.networks.arraygraph.ArrayGraph` keeps its whole CSR in
-RAM, and the single-pass kernels make it worse: ``newman_ziff_giant_
-sizes`` calls ``indices.tolist()``, boxing every directed edge into a
-Python int (~45 bytes each), so the practical "single-node graph
-ceiling" named in the ROADMAP sits around 10^5 nodes.  This module is
-the network analogue of :mod:`repro.csp.tiledengine`: the same kernels
-stream the structure through fixed-budget blocks instead of refusing.
+RAM, which caps the graphs it can hold; this module is the network
+analogue of :mod:`repro.csp.tiledengine`, streaming the structure
+through fixed-budget blocks instead of refusing.  Its kernels are the
+only copy :class:`~repro.networks.engine.CSRNetworkEngine` runs, on
+either substrate: an in-RAM CSR is one block holding the whole graph, a
+memory-mapped one is walked in budget-sized blocks.
 
 * :class:`MmapGraph` — a CSR graph whose ``indptr``/``indices`` live in
   memory-mapped ``.npy`` files.  Built once (either by copying an
@@ -15,19 +15,20 @@ stream the structure through fixed-budget blocks instead of refusing.
   workers via :meth:`MmapGraph.open`.  Node labels default to the
   identity ``0..n-1`` so no O(n) label/index side tables are
   materialized.
-* **chunked kernels** — :func:`chunked_newman_ziff_giant_sizes` and
-  :func:`chunked_union_find_labels` walk ``indices`` in fixed-size
-  blocks (``derive_chunk_elems`` turns the supervisor's
-  ``memory_budget_mb`` into a block size, mirroring
+* **block-streamed kernels** — :func:`chunked_newman_ziff_giant_sizes`,
+  :func:`chunked_union_find_labels` and the :func:`frontier_slices`
+  scheduler walk ``indices`` in blocks (``derive_chunk_elems`` turns
+  the supervisor's ``memory_budget_mb`` into a block size, mirroring
   :func:`repro.csp.tiledengine.derive_block_bits`), so only
   O(block + n) bytes are ever boxed into Python objects regardless of
-  edge count.  Outputs are byte-identical to the single-pass array
-  kernels — same union order, same size bookkeeping — pinned by
+  edge count.  Outputs are byte-identical at every block size and to
+  the single-pass reference kernels of :mod:`repro.networks.arraygraph`
+  — same union order, same size bookkeeping — pinned by
   ``tests/networks/test_mmapgraph.py``.
-* :func:`estimate_graph_bytes` — the pre-emption estimate the array
-  engine consults against the supervisor's memory budget: over-budget
-  graphs degrade to the chunked mmap kernels instead of OOM-ing
-  (mirroring ``estimate_compile_bytes`` from the CSP family).
+* :func:`estimate_graph_bytes` — the pre-emption estimate the CSR
+  engine's ``array`` kind consults against the supervisor's memory
+  budget: over-budget graphs are spilled to a memmap instead of
+  OOM-ing (mirroring ``estimate_compile_bytes`` from the CSP family).
 
 Engine selection lives in :mod:`repro.networks.engine`
 (``REPRO_NETWORK_ENGINE=object|array|mmap``).
@@ -46,7 +47,12 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from . import arraygraph
-from .arraygraph import ArrayGraph, as_arraygraph, directed_edge_blocks
+from .arraygraph import (
+    ArrayGraph,
+    adaptive_degree_order,
+    as_arraygraph,
+    directed_edge_blocks,
+)
 from .graph import Graph
 
 __all__ = [
@@ -65,13 +71,13 @@ __all__ = [
     "frontier_slices",
 ]
 
-#: what one node costs the *array* engine at kernel time: int32/int64
+#: what one node costs the in-RAM CSR at kernel time: int32/int64
 #: CSR offsets, the label list + index dict, and the union-find
 #: ``parent``/``size`` Python lists the Newman–Ziff kernel allocates
 ARRAY_BYTES_PER_NODE = 120
-#: what one directed CSR entry costs the array engine: the int32
-#: ``indices`` slot plus the boxed Python int the single-pass
-#: Newman–Ziff kernel creates via ``indices.tolist()``
+#: what one directed CSR entry costs the in-RAM CSR: the int32
+#: ``indices`` slot plus the boxed Python int the Newman–Ziff kernel
+#: creates for it (in RAM, one block is the whole graph)
 ARRAY_BYTES_PER_DIRECTED_EDGE = 50
 
 #: block size used when no memory budget is installed (2^18 = 256K
@@ -126,13 +132,13 @@ def derive_chunk_elems(
 
 
 def estimate_graph_bytes(g) -> Optional[int]:
-    """What running the array engine's kernels on ``g`` would allocate.
+    """What running the CSR kernels on ``g`` in RAM would allocate.
 
-    Counts the CSR arrays plus the Python-object freight of the
-    single-pass kernels (boxed ``tolist`` edges, union-find lists).
-    The array engine compares this against the supervisor's
-    ``memory_budget_mb`` and degrades to the chunked mmap kernels when
-    over — pre-emption, not refusal.  Returns ``None`` for objects that
+    Counts the CSR arrays plus the Python-object freight of a
+    whole-graph block (boxed ``tolist`` edges, union-find lists).  Kind
+    ``array`` compares this against the supervisor's
+    ``memory_budget_mb`` and spills the graph to a memmap when over —
+    pre-emption, not refusal.  Returns ``None`` for objects that
     don't expose ``n_nodes``/``n_edges``.
     """
     n = getattr(g, "n_nodes", None)
@@ -223,9 +229,9 @@ class MmapGraph:
     ) -> "MmapGraph":
         """Spill an in-RAM CSR to memory-mapped files, preserving layout.
 
-        Intra-row neighbor order is copied verbatim, so every chunked
-        kernel sees exactly the byte sequence the array kernels would —
-        the equivalence contract rests on this.
+        Intra-row neighbor order is copied verbatim, so every kernel
+        sees exactly the byte sequence it sees on the in-RAM CSR — the
+        equivalence contract rests on this.
         """
         owns = path is None
         if owns:
@@ -651,29 +657,9 @@ class MmapGraph:
         return order.astype(np.int64)
 
     def adaptive_degree_removal_order(self):
-        """Recompute-degree removal order (max ``(degree, repr)`` per step).
-
-        Same incremental algorithm as the array graph; inherently
-        O(n²) scans, so it is a small-graph tool even here.
-        """
-        n = self.n_nodes
-        deg = self.degree_array().copy()
-        active = np.ones(n, dtype=bool)
-        indptr, indices, labels = self.indptr, self.indices, self.labels
-        order: list = []
-        for _ in range(n):
-            top = int(np.max(np.where(active, deg, -1)))
-            cands = np.flatnonzero(active & (deg == top))
-            if len(cands) == 1:
-                pick = int(cands[0])
-            else:
-                pick = int(max(cands, key=lambda i: repr(labels[int(i)])))
-            order.append(labels[pick])
-            active[pick] = False
-            nbrs = np.asarray(indices[indptr[pick]:indptr[pick + 1]])
-            live = nbrs[active[nbrs]]
-            deg[live] -= 1
-        return order
+        """Recompute-degree removal order (see :func:`~repro.networks.
+        arraygraph.adaptive_degree_order`)."""
+        return adaptive_degree_order(self.indptr, self.indices, self.labels)
 
 
 def _decimal_sort_keys(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -707,7 +693,7 @@ def as_mmapgraph(g: "Graph | ArrayGraph | MmapGraph") -> MmapGraph:
 
     In-RAM graphs are spilled once (via their :class:`ArrayGraph` CSR,
     so intra-row order — and therefore every kernel byte — matches the
-    array engine); subsequent calls on an unmutated graph reuse the
+    in-RAM substrate); subsequent calls on an unmutated graph reuse the
     spill.
     """
     if isinstance(g, MmapGraph):
@@ -767,12 +753,18 @@ def chunked_newman_ziff_giant_sizes(
     base: np.ndarray | None = None,
     block_elems: Optional[int] = None,
 ) -> np.ndarray:
-    """Block-streamed :func:`~repro.networks.arraygraph.newman_ziff_giant_sizes`.
+    """Giant-component size after each node *addition* (Newman–Ziff).
 
-    Byte-identical output: the same additions run through the same
-    union-find in the same order — only the neighbor lists arrive via
-    per-block CSR gathers (``O(block)`` boxed ints in flight) instead
-    of one ``indices.tolist()`` of the whole edge array.
+    The kernel behind percolation curves and healing traces on both CSR
+    substrates.  Starting from the (optional) ``base`` node set, nodes
+    of ``order`` are activated one at a time, each unioned with its
+    already-active neighbors; ``sizes[k]`` is the largest component
+    after the first ``k`` additions (``sizes[0]`` = the base's giant).
+    Evaluating a removal process in reverse turns O(checkpoints · BFS)
+    into one O((n + m)·α) sweep.  Neighbor lists arrive via per-block
+    CSR gathers (``O(block)`` boxed ints in flight); the output is
+    byte-identical at every block size and to the single-pass
+    reference :func:`~repro.networks.arraygraph.newman_ziff_giant_sizes`.
     """
     if block_elems is None:
         block_elems = 1 << DEFAULT_CHUNK_BITS

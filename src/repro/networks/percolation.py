@@ -65,9 +65,10 @@ def percolation_curve(
     ``resolution`` caps how many points are measured (evenly spaced along
     the removal sequence); default measures after every removal.
     ``engine`` picks the kernel implementation (see
-    :func:`~repro.networks.engine.make_network_engine`); the array engine
-    evaluates the whole curve in one reverse Newman–Ziff pass instead of
-    recomputing components after every removal, with identical output.
+    :func:`~repro.networks.engine.make_network_engine`); the CSR engine
+    (``array``/``mmap``) evaluates the whole curve in one reverse
+    Newman–Ziff pass instead of recomputing components after every
+    removal, with identical output.
     """
     n = g.n_nodes
     if n == 0:

@@ -11,6 +11,10 @@ networks ``make_network_engine``  ``REPRO_NETWORK_ENGINE`` object*, array, mmap 
 csp      ``make_csp_engine``      ``REPRO_CSP_ENGINE``     object*, bit, tiled    object
 ======== ======================== ========= ======================= =========
 
+The networks family's ``array`` and ``mmap`` are one CSR engine on two
+substrates — an in-RAM or a memory-mapped CSR — running the same
+kernels (:class:`repro.networks.engine.CSRNetworkEngine`).
+
 :func:`resolve_engine_kind` is the shared helper behind all three: it
 applies the same ``None``-means-environment rule, produces the same
 error message for empty/unknown values (an :class:`~repro.errors.

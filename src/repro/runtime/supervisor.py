@@ -341,9 +341,10 @@ class Supervisor:
 
         One budget, consumed per family: the bit-CSP engine pre-empts
         over-budget compiles, the tiled CSP engine folds it into its
-        block schedule, and the array network engine degrades
-        over-budget graphs to the chunked mmap kernels
-        (:func:`repro.networks.mmapgraph.estimate_graph_bytes`).
+        block schedule, and the CSR network engine spills over-budget
+        in-RAM graphs to a memmap and sizes its blocks from it
+        (:func:`repro.networks.mmapgraph.estimate_graph_bytes`,
+        :func:`repro.networks.mmapgraph.derive_chunk_elems`).
         """
         if self.memory_budget_mb is None:
             return None

@@ -29,13 +29,14 @@ from repro.networks import (
     make_network_engine,
     percolation_curve,
 )
+from repro.networks import engine as engine_mod
 from repro.networks import mmapgraph as mmapgraph_mod
 from repro.networks.arraygraph import (
     directed_edge_blocks,
     newman_ziff_giant_sizes,
     union_find_labels,
 )
-from repro.networks.engine import ArrayNetworkEngine, MmapNetworkEngine
+from repro.networks.engine import CSRNetworkEngine
 from repro.networks.generators import (
     barabasi_albert_stream,
     erdos_renyi_stream,
@@ -371,7 +372,7 @@ class TestMmapEngineEquivalence:
             )
             got = percolation_curve(
                 ba_graph, attack, seed=42,
-                engine=MmapNetworkEngine(block_elems=block),
+                engine=CSRNetworkEngine("mmap", block_elems=block),
             )
             assert np.array_equal(ref.giant_fraction, got.giant_fraction)
             assert np.array_equal(
@@ -397,7 +398,7 @@ class TestMmapEngineEquivalence:
         )
         got = SIRModel(
             ba_graph, 0.3, 0.25,
-            engine=MmapNetworkEngine(block_elems=block),
+            engine=CSRNetworkEngine("mmap", block_elems=block),
         ).run([0, 1], seed=7)
         assert np.array_equal(ref.infected_counts, got.infected_counts)
         assert ref.final_infected == got.final_infected
@@ -419,14 +420,14 @@ class TestMmapEngineEquivalence:
         init = {n: 1.0 for n in ba_graph.nodes()}
         cap = {n: 1.8 for n in ba_graph.nodes()}
         ea = make_network_engine("array")
-        em = MmapNetworkEngine(block_elems=29)
+        em = CSRNetworkEngine("mmap", block_elems=29)
         assert ea.load_cascade(
             ba_graph, init, cap, frozenset([0, 5])
         ) == em.load_cascade(ba_graph, init, cap, frozenset([0, 5]))
 
     def test_spread_cascade_draw_identical(self, ba_graph):
         ea = make_network_engine("array")
-        em = MmapNetworkEngine(block_elems=51)
+        em = CSRNetworkEngine("mmap", block_elems=51)
         for seed in range(4):
             for p in (0.04, 0.5):
                 assert ea.spread_cascade(
@@ -437,10 +438,33 @@ class TestMmapEngineEquivalence:
 
     def test_healing_identical(self, ba_graph):
         ea = make_network_engine("array")
-        em = MmapNetworkEngine(block_elems=33)
+        em = CSRNetworkEngine("mmap", block_elems=33)
         assert ea.healing_episode(
             ba_graph, [0, 1, 2, 3], 2, 12, 3
         ) == em.healing_episode(ba_graph, [0, 1, 2, 3], 2, 12, 3)
+
+    def test_sir_gathers_once_per_step_when_frontier_fits(
+        self, ba_graph, monkeypatch
+    ):
+        # the whole graph fits the default block, so every frontier does:
+        # its candidates are gathered once, counted, drawn and emitted
+        # without a second gather of the same rows
+        mg = as_mmapgraph(ba_graph)
+        assert len(mg.indices) < derive_chunk_elems(None)
+        calls = []
+        real = engine_mod.gather_rows
+
+        def counting(indptr, indices, rows):
+            calls.append(len(rows))
+            return real(indptr, indices, rows)
+
+        monkeypatch.setattr(engine_mod, "gather_rows", counting)
+        tr = trace.Tracer()
+        with trace.use(tr):
+            SIRModel(mg, 0.3, 0.25, engine="mmap").run([0, 1], seed=7)
+        steps = tr.counters["net.epidemic.steps.mmap"]
+        assert steps > 1
+        assert len(calls) == steps
 
     def test_ordering_identical(self, ba_graph):
         ag = as_arraygraph(ba_graph)
@@ -468,7 +492,7 @@ class TestMmapEngineEquivalence:
 
 class TestBudgetDegrade:
     def test_array_engine_degrades_over_budget(self, ba_graph):
-        eng = ArrayNetworkEngine()
+        eng = CSRNetworkEngine("array")
         ref = eng.percolation_giant_sizes(
             ba_graph, list(range(300)), [100, 300]
         )
@@ -486,7 +510,7 @@ class TestBudgetDegrade:
         assert "net.curves.array" not in counters
 
     def test_array_engine_stays_in_ram_under_budget(self, ba_graph):
-        eng = ArrayNetworkEngine()
+        eng = CSRNetworkEngine("array")
         sup = supervisor.Supervisor(memory_budget_mb=1024)
         tr = trace.Tracer()
         with supervisor.use(sup), trace.use(tr):
@@ -495,13 +519,19 @@ class TestBudgetDegrade:
         assert counters["net.curves.array"] == 1
         assert "net.mmap.degrades" not in counters
 
-    def test_mmap_block_derives_from_budget(self):
+    def test_mmap_block_derives_from_budget(self, ba_graph):
+        mg = as_mmapgraph(ba_graph)
+        ag = as_arraygraph(ba_graph)
         sup = supervisor.Supervisor(memory_budget_mb=1)
         with supervisor.use(sup):
-            assert MmapNetworkEngine()._block() == derive_chunk_elems(
-                1 << 20
-            )
-        assert MmapNetworkEngine()._block() == 1 << DEFAULT_CHUNK_BITS
+            for kind in ("array", "mmap"):
+                eng = CSRNetworkEngine(kind)
+                assert eng._block(mg) == derive_chunk_elems(1 << 20)
+                assert eng._block(ag) == len(ag.indices)
+        for kind in ("array", "mmap"):
+            eng = CSRNetworkEngine(kind)
+            assert eng._block(mg) == 1 << DEFAULT_CHUNK_BITS
+            assert eng._block(ag) == len(ag.indices)
 
 
 # -- streaming generators --------------------------------------------------
