@@ -18,10 +18,14 @@ compiled bit-matrix (``--json-csp`` writes that family's snapshot).
 Benchmarks that were vectorized in place record a single timing.
 
 ``--json-csp`` additionally emits a **scale axis** (snapshot schema 3):
-the wall time of one exact n-recoverability check at n ∈ {14, 18, 22,
-24} per engine — the object column stops at n = 18 and the bit column
-at its 2^20 envelope, while the block-streamed ``tiled`` engine covers
-the full axis (``--smoke`` shrinks the axis to n ∈ {10, 12, 14}).
+the wall time of one exact recoverability check at n ∈ {14, 18, 20, 22,
+24} per engine column, on a sparse fit set (``scale_ns``: the
+spacecraft) and a dense one (``scale_dense_ns``: random 3-SAT).  The
+object column stops early and the bit column at its 2^20 envelope;
+``tiled`` is the engine kind (the bit form up to n = 20) and
+``streamed`` the block-streamed form at every n.  The axis raises when
+the columns at one n report differently (``--smoke`` shrinks it to
+n ∈ {10, 12, 14, 22}).
 
 ``--scale-networks`` promotes the network snapshot to schema 3 with its
 own scale axis: one targeted-attack percolation curve plus one SIR run
@@ -130,13 +134,23 @@ AGENT_FAMILY = {**ENGINE_AWARE, **VECTORIZED}
 NETWORK_FAMILY = NETWORK_ENGINE_AWARE
 CSP_FAMILY = CSP_ENGINE_AWARE
 
-# CSP scale axis (schema 3): wall time of one exact n-recoverability
-# check vs n, per engine.  The object kernels enumerate 2^n assignments
-# in Python, so their column stops at n = 18; the bit engine's envelope
-# ends at DEFAULT_MAX_BITS = 20; the tiled engine streams the full axis.
-CSP_SCALE_NS = (14, 18, 22, 24)
-CSP_SCALE_NS_SMOKE = (10, 12, 14)
-CSP_SCALE_CAP = {"object": 18, "bit": 20, "tiled": 64}
+# CSP scale axis (schema 3): wall time of one exact recoverability
+# check vs n, per engine column, on a sparse fit set (the spacecraft,
+# C = 1^n) and a dense one (random 3-SAT, 3n clauses).  The object
+# kernels enumerate 2^n assignments in Python, so their column stops
+# early; the bit engine's envelope ends at DEFAULT_MAX_BITS = 20.
+# ``tiled`` is the engine kind, which compiles to the bit form up to
+# n = 20; ``streamed`` is the block-streamed form itself at every n.
+CSP_SCALE_NS = (14, 18, 20, 22, 24)
+CSP_SCALE_NS_SMOKE = (10, 12, 14, 22)
+CSP_SCALE_CAP = {
+    "sparse": {"object": 18, "bit": 20, "tiled": 64, "streamed": 64},
+    "dense": {"object": 12, "bit": 20, "tiled": 64, "streamed": 64},
+}
+CSP_SCALE_SEED = 13
+#: the streamed column's blocks are the tiled default of 2^18 states,
+#: but never more than a quarter of the cube, so it streams at every n
+CSP_STREAM_SPLIT_BITS = 2
 
 
 def _breakdown(tracer, wall_s: float) -> dict:
@@ -220,32 +234,88 @@ def time_experiment(
     return best, breakdown
 
 
-def time_csp_scale(ns: tuple, repeat: int) -> dict:
-    """Wall time of one n=·· recoverability check per engine (scale axis).
+def _csp_scale_engine(column: str, n: int):
+    """The engine argument behind one scale-axis column."""
+    if column != "streamed":
+        return column
+    from repro.csp.engine import TiledCSPEngine
+    from repro.csp.tiledengine import DEFAULT_BLOCK_BITS
 
-    Each point times ``Spacecraft(n).recoverability_report(3, 3)`` on a
-    fresh spacecraft (so per-CSP compile caches never carry between
-    repeats); construction itself stays untimed.  Engines skip the
-    points beyond their practical cap (:data:`CSP_SCALE_CAP`).
+    return TiledCSPEngine(
+        block_bits=min(DEFAULT_BLOCK_BITS, n - CSP_STREAM_SPLIT_BITS)
+    )
+
+
+def _csp_scale_check(shape: str, n: int, engine):
+    """One timed recoverability check on freshly built inputs.
+
+    Inputs are rebuilt per call so per-CSP compile caches never carry
+    between repeats; construction itself stays untimed.
     """
+    from repro.core.recoverability import (
+        BoundedComponentDamage,
+        is_k_recoverable,
+    )
+    from repro.csp import random_clause_csp
     from repro.spacecraft.system import Spacecraft
 
+    if shape == "sparse":
+        craft = Spacecraft(n)
+
+        def check():
+            return craft.recoverability_report(3, 3, engine=engine)
+    else:
+        csp = random_clause_csp(n, 3 * n, 3, seed=CSP_SCALE_SEED)
+
+        def check():
+            return is_k_recoverable(
+                csp, BoundedComponentDamage(1), k=2, engine=engine
+            )
+    start = time.perf_counter()
+    report = check()
+    return time.perf_counter() - start, report
+
+
+def check_csp_agreement(shape: str, n: int, reports: dict) -> None:
+    """Raise when the columns run at ``n`` give different reports."""
+    first, *rest = reports.values()
+    if any(report != first for report in rest):
+        raise RuntimeError(
+            f"csp scale {shape} n={n}: engines disagree on the "
+            f"recoverability report: {reports}"
+        )
+
+
+def time_csp_scale(ns: tuple, repeat: int, shape: str = "sparse") -> dict:
+    """Wall time of one n-recoverability check per engine column.
+
+    ``sparse`` times ``Spacecraft(n).recoverability_report(3, 3)``;
+    ``dense`` times 2-recoverability under one hit on random 3-SAT with
+    3n clauses.  Columns skip the points beyond their cap
+    (:data:`CSP_SCALE_CAP`).  Raises when the columns run at one n
+    report differently (witness included), so the axis doubles as an
+    equivalence check at sizes the unit tests don't reach.
+    """
     axis: dict = {}
     for n in ns:
         axis[str(n)] = {}
-        for engine in ("object", "bit", "tiled"):
-            if n > CSP_SCALE_CAP[engine]:
+        reports = {}
+        for column, cap in CSP_SCALE_CAP[shape].items():
+            if n > cap:
                 continue
             best = float("inf")
             for _ in range(repeat):
-                craft = Spacecraft(n)
-                start = time.perf_counter()
-                report = craft.recoverability_report(3, 3, engine=engine)
-                elapsed = time.perf_counter() - start
-                assert report.is_k_recoverable  # sanity, not timing
+                elapsed, report = _csp_scale_check(
+                    shape, n, _csp_scale_engine(column, n)
+                )
+                if shape == "sparse":
+                    assert report.is_k_recoverable  # sanity, not timing
                 best = min(best, elapsed)
-            axis[str(n)][engine] = round(best, 4)
-            print(f"csp scale n={n:<3d}{'':20s} {engine:10s} {best:8.3f} s")
+            reports[column] = report
+            axis[str(n)][column] = round(best, 4)
+            print(f"csp scale {shape:6s} n={n:<3d}{'':13s} "
+                  f"{column:10s} {best:8.3f} s")
+        check_csp_agreement(shape, n, reports)
     return axis
 
 
@@ -451,14 +521,16 @@ def main(argv: list[str] | None = None) -> int:
         print("\nper-experiment breakdown (best run):")
         print(render_table(summary_rows))
 
-    # the CSP snapshot (schema 3) carries the scale axis: wall time of
-    # one exact recoverability check vs n, per engine, plus the
-    # object/tiled ratio wherever both engines cover the point
+    # the CSP snapshot (schema 3) carries the scale axes: wall time of
+    # one exact recoverability check vs n, per engine column and fit-set
+    # shape, plus the sparse object/tiled ratio wherever both run
     scale_axis: dict = {}
+    dense_axis: dict = {}
     scale_speedups: dict = {}
     if args.json_csp:
         ns = CSP_SCALE_NS_SMOKE if args.smoke else CSP_SCALE_NS
         scale_axis = time_csp_scale(ns, repeat)
+        dense_axis = time_csp_scale(ns, repeat, shape="dense")
         scale_speedups = {
             n: round(t["object"] / t["tiled"], 2)
             for n, t in scale_axis.items()
@@ -507,6 +579,7 @@ def main(argv: list[str] | None = None) -> int:
 
     csp_extra = {
         "scale_ns": scale_axis,
+        "scale_dense_ns": dense_axis,
         "scale_tiled_speedup": scale_speedups,
     }
     for path, family, speedup_key, by_name, schema, extra in (

@@ -151,13 +151,21 @@ def test_smoke_mode_covers_the_harness(tmp_path):
         assert a01["csp_time_s"] == 0
         assert a01["csp_compiles"] == 0
 
-    # schema 3: the scale axis (smoke ns) times one recoverability
-    # check per engine — all three engines cover the smoke points
-    assert set(csp["scale_ns"]) == {"10", "12", "14"}
-    for point in csp["scale_ns"].values():
-        assert set(point) == {"object", "bit", "tiled"}
-        for seconds in point.values():
-            assert seconds >= 0
+    # schema 3: the scale axes (smoke ns) time one recoverability
+    # check per engine column — every column covers n <= 12, and only
+    # the tiled kind and the streamed form run past the bit envelope
+    for key, object_cap in (("scale_ns", 14), ("scale_dense_ns", 12)):
+        axis = csp[key]
+        assert set(axis) == {"10", "12", "14", "22"}
+        for n, point in axis.items():
+            want = {"tiled", "streamed"}
+            if int(n) <= 20:
+                want |= {"bit"}
+            if int(n) <= object_cap:
+                want |= {"object"}
+            assert set(point) == want
+            for seconds in point.values():
+                assert seconds >= 0
     assert set(csp["scale_tiled_speedup"]) == {"10", "12", "14"}
 
     # the trace stream is valid JSONL with bench start/end events

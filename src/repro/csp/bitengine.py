@@ -11,19 +11,23 @@ query.  This module compiles a boolean :class:`~repro.csp.problem.CSP`
 
 * the full state space as the packed-integer range ``0 .. 2^n - 1``
   (state ``m`` has bit ``i`` set iff variable ``i`` is 1);
-* each constraint lowered to a vectorized evaluator — cardinality
-  constraints via one popcount over a scope mask, linear constraints via
-  ordered float accumulation (matching Python's left-to-right ``sum``
-  bit-for-bit), table/predicate constraints via a precomputed support
-  array over the scope's 2^m subcube broadcast to the full space;
+* each constraint lowered once (:class:`LoweredConstraint`) —
+  cardinality constraints via one popcount over a scope mask, linear
+  constraints via ordered float accumulation (matching Python's
+  left-to-right ``sum`` bit-for-bit), table/predicate constraints via a
+  precomputed support array over the scope's 2^m subcube.  Over an
+  aligned block of the state space (the whole cube here, one streamed
+  block in the tiled engine) the support is broadcast across the
+  block's bit axes with no per-state index; lookups at arbitrary masks
+  gather from it;
 * a ``(n_constraints, 2^n)`` satisfaction matrix, per-state violation
-  counts, the fit mask, and a vectorized ``quality()``.
+  counts, the fit mask and fit indices, and a vectorized ``quality()``.
 
-On top of the compiled form live the resilience kernels: a
-level-synchronous Hamming-ball BFS over the hypercube with XOR neighbor
-indexing (:func:`hamming_distances` — distance to the nearest fit
-state, exactly :meth:`BitSpace.recovery_distance` for every state at
-once), the Baral–Eiter repair-level map for the spacecraft encoding
+On top of the compiled form live the resilience kernels: a separable
+min-plus distance transform over the hypercube, one byte-wide pass per
+bit (:func:`hamming_distances` — distance to the nearest fit state,
+exactly :meth:`BitSpace.recovery_distance` for every state at once),
+the Baral–Eiter repair-level map for the spacecraft encoding
 (:func:`add_bit_levels`), and the debris damage envelope
 (:func:`clear_bit_ball`).
 
@@ -115,19 +119,123 @@ def _bit_domain_bridge(csp: CSP) -> list[tuple]:
     return out
 
 
+class LoweredConstraint:
+    """One constraint lowered once into array kernels over packed states.
+
+    Calling it maps any array of packed state masks (any shape) to the
+    constraint's satisfaction over those states — the lookup used at
+    arbitrary masks (lazy views, repair neighbourhoods).
+    :meth:`block` gives the satisfaction row of one aligned block of
+    the state space — the form both whole-space enumerations use:
+    :class:`CompiledBitCSP` (one block, the whole cube) and the tiled
+    engine (:mod:`repro.csp.tiledengine`, one call per streamed block).
+    """
+
+    def __init__(self, evaluate):
+        self._evaluate = evaluate
+
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        return self._evaluate(states)
+
+    def block(self, lo: int, bits: int, states: np.ndarray) -> np.ndarray:
+        """Satisfaction of the aligned block ``[lo, lo + 2**bits)``.
+
+        ``lo`` is a multiple of ``2**bits`` and ``states`` is
+        ``np.arange(lo, lo + 2**bits)``, which the mask kernels read.
+        """
+        return self._evaluate(states)
+
+
+#: numpy's inner loops run along contiguous states; below runs of
+#: 2^_ROW_BITS states their per-call overhead dominates, so the
+#: whole-cube kernels move the lowest _ROW_BITS bits out of the way
+#: (rows in the block broadcast, a transposed pass in the distance
+#: transform)
+_ROW_BITS = 8
+
+
+def _run_axes(bits_desc, in_scope: set) -> tuple[list[int], list[int]]:
+    """Axes of a block over the given bits (highest first) for a broadcast.
+
+    Each scope bit is its own size-2 axis; each run of non-scope bits
+    is merged into one axis.  Returns ``(shape, source_shape)``: the
+    source has size 1 on the merged axes, which broadcast.
+    """
+    shape: list[int] = []
+    source: list[int] = []
+    run = 0
+    for bit in bits_desc:
+        if bit not in in_scope:
+            run += 1
+            continue
+        if run:
+            shape.append(1 << run)
+            source.append(1)
+            run = 0
+        shape.append(2)
+        source.append(2)
+    if run:
+        shape.append(1 << run)
+        source.append(1)
+    return shape, source
+
+
+class _SupportConstraint(LoweredConstraint):
+    """A constraint lowered to its support over the scope's 2^m subcube.
+
+    Lookups gather ``support[subcube index]``; an aligned block needs no
+    per-state index at all.  Scope bits at positions ≥ ``bits`` are the
+    same for every state of the block, so they fix their subcube axes
+    to the bits of ``lo``; the remaining support is broadcast over the
+    block's bit axes, with each run of non-scope bits merged into one
+    axis.  When a scope bit sits among the lowest :data:`_ROW_BITS`
+    bits, those bits are laid out first, as one row per setting of the
+    higher free scope bits, and the rows are then broadcast over the
+    rest of the block in one pass.
+    """
+
+    def __init__(self, support: np.ndarray, scope_idx: np.ndarray):
+        self.support = support
+        self.scope_idx = [int(i) for i in scope_idx]
+
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        return self.support[_subcube_index(self.scope_idx, states)]
+
+    def block(self, lo: int, bits: int, states: np.ndarray) -> np.ndarray:
+        m = len(self.scope_idx)
+        # axis a of the reshaped support is subcube bit m - 1 - a, i.e.
+        # the state bit scope_idx[m - 1 - a]
+        axis_bits = self.scope_idx[::-1]
+        cube = self.support.reshape((2,) * m)[tuple(
+            (lo >> i) & 1 if i >= bits else slice(None) for i in axis_bits
+        )]
+        free = [i for i in axis_bits if i < bits]
+        # order the free axes like the block's: highest state bit first
+        cube = cube.transpose(
+            sorted(range(len(free)), key=lambda a: -free[a])
+        )
+        free.sort(reverse=True)
+        # rows are needed only when a scope bit sits below _ROW_BITS;
+        # otherwise the broadcast already copies runs of ≥ 2^_ROW_BITS
+        low = min(bits, _ROW_BITS) if free and free[-1] < _ROW_BITS else 0
+        lead = [2] * sum(i >= low for i in free)
+        shape, source = _run_axes(range(low - 1, -1, -1), set(free))
+        rows = np.empty(lead + shape, dtype=bool)
+        rows[...] = cube.reshape(lead + source)
+        shape, source = _run_axes(range(bits - 1, low - 1, -1), set(free))
+        out = np.empty(shape + [1 << low], dtype=bool)
+        out[...] = rows.reshape(source + [1 << low])
+        return out.reshape(-1)
+
+
 def lower_constraint(
     c: Constraint, scope_idx: np.ndarray, val_for_bit: Sequence[tuple]
-):
-    """Pre-lower one constraint into a reusable block evaluator.
+) -> LoweredConstraint:
+    """Pre-lower one constraint into a reusable :class:`LoweredConstraint`.
 
-    Returns a callable mapping any array of packed state masks (any
-    shape) to the constraint's satisfaction over those states.  All
-    compile-time work — scope masks, table/predicate support over the
-    scope's 2^m subcube — happens once here, so the evaluator can be
-    applied to fixed-size state blocks without re-lowering.  This is
-    the kernel-sharing seam between :class:`CompiledBitCSP` (one call
-    over the full 2^n range) and the tiled engine
-    (:mod:`repro.csp.tiledengine`, one call per streamed block).
+    All compile-time work — scope masks, table/predicate support over
+    the scope's 2^m subcube — happens once here, so the kernels can be
+    applied to any state batch or aligned block without re-lowering.
     """
     if type(c) is CardinalityConstraint:
         # cardinality constraint → one popcount over the scope mask
@@ -146,7 +254,7 @@ def lower_constraint(
                 count = np.zeros_like(ones)
             return (lo <= count) & (count <= hi)
 
-        return evaluate
+        return LoweredConstraint(evaluate)
 
     if type(c) is LinearConstraint:
         # linear constraint → ordered float accumulation + comparator;
@@ -164,7 +272,7 @@ def lower_constraint(
                 total = total + w * bit
             return op(total, bound)
 
-        return evaluate
+        return LoweredConstraint(evaluate)
 
     if type(c) is TableConstraint:
         # table constraint → support array over the scope subcube
@@ -180,7 +288,7 @@ def lower_constraint(
     else:
         # any constraint → evaluate ``satisfied`` once per scope
         # subcube cell: 2^m predicate calls at lowering time (m = scope
-        # arity), then one gather broadcasts the support to any block
+        # arity)
         m = len(scope_idx)
         support = np.empty(1 << m, dtype=bool)
         scope_vals = [val_for_bit[i] for i in scope_idx]
@@ -189,18 +297,14 @@ def lower_constraint(
             for j, name in enumerate(c.scope):
                 assignment[name] = scope_vals[j][(sub >> j) & 1]
             support[sub] = bool(c.satisfied(assignment))
-
-    def evaluate(states: np.ndarray) -> np.ndarray:
-        return support[_subcube_index(scope_idx, states)]
-
-    return evaluate
+    return _SupportConstraint(support, scope_idx)
 
 
 def lower_csp(csp: CSP):
     """Lower every constraint of a boolean CSP once.
 
-    Returns ``(evaluators, scope_mat, val_for_bit)``: one block
-    evaluator per constraint (see :func:`lower_constraint`), the
+    Returns ``(evaluators, scope_mat, val_for_bit)``: one
+    :class:`LoweredConstraint` per constraint, the
     ``(n_constraints, n)`` scope-membership matrix, and the bit→domain
     value bridge.  Raises :class:`BitEngineUnsupported` for non-boolean
     variables.  Shared by the full-space and tiled compiled forms.
@@ -300,27 +404,25 @@ class CompiledBitCSP(PackedStateBridge):
         self.sat: np.ndarray = np.empty((n_c, self.size), dtype=bool)
         #: (n_constraints, n) scope membership matrix
         self.scope_mat: np.ndarray = scope_mat
+        satisfied = np.zeros(self.size, dtype=np.min_scalar_type(n_c))
         for ci, evaluate in enumerate(evaluators):
-            self.sat[ci] = evaluate(self.states)
+            # the whole cube is one aligned block
+            self.sat[ci] = evaluate.block(0, n, self.states)
+            satisfied += self.sat[ci].view(np.uint8)
         #: violated-constraint count per state (the object engine's
         #: ``conflict_count`` for every state at once)
-        self.violations: np.ndarray = (
-            (~self.sat).sum(axis=0).astype(np.int32)
-            if n_c
-            else np.zeros(self.size, dtype=np.int32)
+        self.violations: np.ndarray = np.subtract(
+            n_c, satisfied, dtype=np.int32
         )
         #: fit mask: state satisfies every constraint
         self.fit_mask: np.ndarray = self.violations == 0
+        #: masks of all fit states, ascending
+        self.fit_indices: np.ndarray = np.flatnonzero(self.fit_mask)
         self._quality: Optional[np.ndarray] = None
         self._dist_to_fit: Optional[np.ndarray] = None
         trace.current().count("csp.compiles")
 
     # -- whole-space views ------------------------------------------------
-
-    @property
-    def fit_indices(self) -> np.ndarray:
-        """Masks of all fit states, ascending."""
-        return np.nonzero(self.fit_mask)[0]
 
     def fit_bitstrings(self) -> frozenset[BitString]:
         """The fit set C, identical to :meth:`CSP.fit_bitstrings`."""
@@ -357,7 +459,8 @@ class CompiledBitCSP(PackedStateBridge):
         """Hamming distance from every state to the nearest fit state.
 
         ``-1`` everywhere when the fit set is empty.  Computed once by
-        level-synchronous BFS and cached.
+        the separable distance transform (:func:`hamming_distances`)
+        and cached.
         """
         if self._dist_to_fit is None:
             self._dist_to_fit = hamming_distances(self.fit_mask, self.n)
@@ -435,8 +538,9 @@ def compile_csp(csp: CSP, max_bits: int = DEFAULT_MAX_BITS) -> CompiledBitCSP:
 #: materialized float64 quality row (8) + bool fit mask (1)
 STATE_BYTES = 8 + 4 + 8 + 1
 #: transient per-state scratch during constraint lowering: the int64
-#: temporary of the popcount/shift kernels (8) plus the int64 subcube /
-#: accumulation buffer of the table and linear kernels (8)
+#: temporary of the popcount/shift kernels (8) plus the float64
+#: accumulation buffer of the linear kernel (8); the int64 fit-index
+#: array (≤ 8 per state) is built after that scratch is released
 LOWERING_SCRATCH_BYTES = 8 + 8
 #: per-state bytes of one constraint's satisfaction row (bool)
 SAT_ROW_BYTES = 1
@@ -485,44 +589,57 @@ def measured_compile_bytes(compiled: CompiledBitCSP) -> int:
     )
 
 
-# -- hypercube BFS kernels -------------------------------------------------
+# -- hypercube kernels -----------------------------------------------------
 
 
 def _flip_masks(n: int) -> np.ndarray:
     return np.int64(1) << np.arange(n, dtype=np.int64)
 
 
-def hamming_distances(fit_mask: np.ndarray, n: int) -> np.ndarray:
-    """Distance from every state to the nearest fit state, by BFS.
+def _relax_bits(dist: np.ndarray, bits, scratch: np.ndarray) -> None:
+    """One min-plus pass per flat bit ``i`` of the int8 array ``dist``."""
+    for i in bits:
+        # axis 1 splits each run of 2^(i+1) entries by bit i
+        pairs = dist.reshape(-1, 2, 1 << i)
+        low, high = pairs[:, 0], pairs[:, 1]
+        tmp = scratch.reshape(low.shape)
+        np.add(high, 1, out=tmp)
+        np.minimum(low, tmp, out=low)
+        np.add(low, 1, out=tmp)
+        np.minimum(high, tmp, out=high)
 
-    Level-synchronous breadth-first search over the n-cube: the frontier
-    is an index array, neighbors come from one XOR broadcast
-    (``frontier[:, None] ^ flip_masks``), and each level settles all
-    states at that distance at once.  Because single-bit flips generate
-    the hypercube, the BFS level equals the minimum Hamming distance to
-    the fit set — exactly :meth:`BitSpace.recovery_distance` for all
-    2^n states in one pass.  Unreachable (empty fit set) → ``-1``.
+
+def hamming_distances(fit_mask: np.ndarray, n: int) -> np.ndarray:
+    """Distance from every state to the nearest fit state.
+
+    Hamming distance is a sum over bits, so the min-plus distance
+    transform separates: starting from 0 on fit states and ``n + 1``
+    ("unreached") elsewhere, one relaxation pass per bit ``i`` — each
+    state against its partner across bit ``i``, plus one — leaves the
+    exact minimum Hamming distance to the fit set, which is
+    :meth:`BitSpace.recovery_distance` for all 2^n states.  That is
+    ``n`` byte-wide passes over the cube with no hashing or index
+    arrays; the passes for the lowest :data:`_ROW_BITS` bits run on a
+    transposed copy, where those bits index the outer axis.
+    Unreachable (empty fit set) → ``-1``.
     """
     size = 1 << n
     if fit_mask.shape != (size,):
         raise ConfigurationError(
             f"fit mask must have shape ({size},), got {fit_mask.shape}"
         )
-    dist = np.full(size, -1, dtype=np.int32)
-    frontier = np.nonzero(fit_mask)[0].astype(np.int64)
-    dist[frontier] = 0
-    bits = _flip_masks(n)
-    d = 0
-    while frontier.size and d < n:
-        cand = (frontier[:, None] ^ bits).ravel()
-        cand = cand[dist[cand] < 0]
-        if not cand.size:
-            break
-        cand = np.unique(cand)
-        d += 1
-        dist[cand] = d
-        frontier = cand
-    return dist
+    unreached = n + 1
+    dist = np.where(fit_mask, 0, unreached).astype(np.int8)
+    scratch = np.empty(size >> 1, dtype=np.int8)
+    low = min(n, _ROW_BITS)
+    # transposed, state bit i < low sits at flat bit i + n - low
+    flipped = dist.reshape(-1, 1 << low).T.copy()
+    _relax_bits(flipped.reshape(-1), range(n - low, n), scratch)
+    dist = flipped.T.reshape(-1)
+    _relax_bits(dist, range(low, n), scratch)
+    out = dist.astype(np.int32)
+    out[dist == unreached] = -1
+    return out
 
 
 def add_bit_levels(

@@ -25,8 +25,9 @@ lowered kernels over fixed-size blocks, so it has no 2^n memory wall —
 only a wall-time one — and compiles up to n ≈ 32.  Its
 :meth:`~TiledCSPEngine.try_compile` is a *chain*: problems the full bit
 compile handles within the supervisor's memory budget get the
-materialized :class:`~repro.csp.bitengine.CompiledBitCSP` (strictly
-faster per query), larger ones get the block-streamed
+materialized :class:`~repro.csp.bitengine.CompiledBitCSP` (a table
+lookup per query, after a whole-cube compile; measured end-to-end costs
+are in :class:`TiledCSPEngine`), larger ones get the block-streamed
 :class:`~repro.csp.tiledengine.TiledBitCSP`, and only non-boolean CSPs
 or ``n`` beyond the enumeration cap fall back to the object kernels —
 ``tiled → bit → object``.  ``REPRO_CSP_TILE_WORKERS`` fans block
@@ -153,8 +154,15 @@ class TiledCSPEngine(CSPEngine):
 
     1. the fully-materialized :class:`CompiledBitCSP` when ``n`` is
        inside the bit envelope *and* the supervisor's memory budget
-       admits the Θ(2^n · n_constraints) allocation — per-query it is
-       strictly faster than streaming, so small problems lose nothing;
+       admits the Θ(2^n · n_constraints) allocation.  Each query is a
+       table lookup, but the whole cube is compiled first, so it is
+       not always the faster form end to end.  One recoverability
+       check, bit vs streamed (blocks of 2^min(18, n-2) states), best
+       of 9 on a shared 2-vCPU box: random 3-SAT with 3n clauses
+       6.9 vs 11.5 ms at n = 14, 16.5 vs 19.7 ms at n = 18, 58.5 vs
+       29.0 ms at n = 20; the spacecraft (one fit state) 1.4 vs 1.0,
+       7.2 vs 3.1 and 24.0 vs 10.0 ms (``BENCH_csp.json`` carries
+       the same columns as ``bit`` and ``streamed``);
     2. otherwise the :class:`TiledBitCSP`, whose block size is derived
        from the same budget (:func:`~repro.csp.tiledengine.
        derive_block_bits`) — the budget now *schedules* instead of

@@ -18,10 +18,13 @@ Three pieces make the compiled form scale:
   worker) fits the budget, clamped to
   ``[MIN_BLOCK_BITS, MAX_BLOCK_BITS]``.  An impossible budget means
   more, smaller blocks — never ``None``.
-* **streamed evaluation** — :meth:`TiledBitCSP.fit_indices` /
-  ``quality`` / ``conflict_counts`` run each lowered evaluator once per
-  block; fit states accumulate as a sorted int64 index array
-  (Θ(|C|) memory, not Θ(2^n)).  Blocks optionally fan out across
+* **streamed evaluation** — :meth:`TiledBitCSP.fit_indices` runs each
+  lowered constraint's aligned-block kernel
+  (:meth:`~repro.csp.bitengine.LoweredConstraint.block`, the same one
+  the bit engine runs over the whole cube) once per block; fit states
+  accumulate as a sorted int64 index array (Θ(|C|) memory, not
+  Θ(2^n)).  ``quality`` / ``conflict_counts`` gather at the requested
+  masks.  Blocks optionally fan out across
   processes through the PR-2 executor
   (:func:`repro.runtime.executor.run_points`).  Dispatch sites that
   index the bit engine's materialized arrays
@@ -33,10 +36,11 @@ Three pieces make the compiled form scale:
   are the ``hamming_distances`` / ``add_bit_levels`` /
   ``clear_bit_ball`` equivalents that keep the frontier as sorted index
   arrays with chunked XOR neighbor generation, instead of a ``(2^n,)``
-  level array — recoverability and K-maintainability cost
-  Θ(ball volume), not Θ(state space).
+  array — recoverability and K-maintainability cost Θ(ball volume),
+  not Θ(state space).
 
-Equivalence contract, pinned by ``tests/csp/test_tiledengine.py``: for
+Equivalence contract, pinned by ``tests/csp/test_tiledengine.py`` and
+the generated cases of ``tests/csp/test_engine_differential.py``: for
 n ≤ 20 every quantity is byte-identical to the bit engine (which is
 itself pinned to the object engine), and for n > 20 results are
 invariant under the block size.
@@ -89,10 +93,10 @@ MIN_BLOCK_BITS = 10
 MAX_BLOCK_BITS = 24
 
 #: per-state bytes in flight while one block streams: the int64 block
-#: states (8), the int32 violation accumulator (4), the evaluator's
-#: int64 temporaries (popcount/subcube gather + comparison, ~16), the
-#: bool satisfaction row (1), plus ~1 slack for the compressed fit
-#: output — per-constraint sat rows are added separately
+#: states (8), the mask kernels' int64 temporaries (popcount +
+#: comparison, ~16), the bool fit accumulator and satisfaction row (2),
+#: plus ~4 slack for the compressed fit output — per-constraint sat
+#: rows are added separately
 TILE_STATE_BYTES = 30
 
 
@@ -402,9 +406,12 @@ class TiledBitCSP(PackedStateBridge):
         ]
 
     def _fit_in_range(self, lo: int, hi: int) -> np.ndarray:
-        """Masks of fit states in ``[lo, hi)``, ascending."""
+        """Masks of fit states in the aligned block ``[lo, hi)``, ascending."""
         states = np.arange(lo, hi, dtype=np.int64)
-        return states[self._violations_of(states) == 0]
+        fit = np.ones(hi - lo, dtype=bool)
+        for evaluate in self._evaluators:
+            fit &= evaluate.block(lo, self.block_bits, states)
+        return states[fit]
 
     def _materialize_fit(self) -> np.ndarray:
         tr = trace.current()

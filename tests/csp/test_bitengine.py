@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.recoverability import (
     AdversarialBitDamage,
@@ -47,6 +48,7 @@ from repro.csp.bitengine import (
     add_bit_levels,
     clear_bit_ball,
     hamming_distances,
+    lower_constraint,
 )
 from repro.csp.bitstring import BitSpace
 from repro.csp.engine import CSPEngine, ObjectCSPEngine
@@ -215,6 +217,83 @@ class TestBFSKernels:
         assert frozenset(
             BitString(5, int(m)) for m in np.nonzero(ball)[0]
         ) == envelope
+
+
+def _brute_distances(fit_mask):
+    """``min popcount(s ^ f)`` over fit states f, for every state s."""
+    fit = np.flatnonzero(fit_mask)
+    if not fit.size:
+        return np.full(fit_mask.size, -1)
+    states = np.arange(fit_mask.size)
+    return np.concatenate([
+        np.bitwise_count(states[s:s + 256, None] ^ fit).min(axis=1)
+        for s in range(0, states.size, 256)
+    ])
+
+
+@st.composite
+def fit_masks(draw):
+    n = draw(st.integers(1, 12))
+    size = 1 << n
+    kind = draw(st.sampled_from(("empty", "full", "single", "random")))
+    mask = np.zeros(size, dtype=bool)
+    if kind == "full":
+        mask[:] = True
+    elif kind == "single":
+        mask[draw(st.integers(0, size - 1))] = True
+    elif kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mask = rng.random(size) < draw(st.sampled_from((0.001, 0.05, 0.5)))
+    return n, mask
+
+
+@st.composite
+def lowered_support(draw):
+    """A table or predicate constraint over a scope in drawn bit order."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, min(n, 5)))
+    scope_idx = np.array(draw(st.permutations(range(n)))[:m], np.int64)
+    truth = draw(st.lists(st.booleans(), min_size=1 << m, max_size=1 << m))
+    scope = [f"x{i}" for i in scope_idx]
+    if draw(st.booleans()):
+        c = TableConstraint(scope, [
+            tuple((r >> j) & 1 for j in range(m))
+            for r in range(1 << m) if truth[r]
+        ])
+    else:
+        c = PredicateConstraint(scope, lambda *v: truth[
+            sum(int(x) << j for j, x in enumerate(v))
+        ])
+    return n, lower_constraint(c, scope_idx, [(0, 1)] * n)
+
+
+class TestWholeCubeKernels:
+    """The aligned, hash-free kernels against brute force."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=fit_masks())
+    def test_hamming_distances_match_brute_force(self, case):
+        n, mask = case
+        dist = hamming_distances(mask, n)
+        assert dist.dtype == np.int32
+        assert np.array_equal(dist, _brute_distances(mask))
+        if not mask.any():
+            assert (dist == -1).all()
+        if mask.all():
+            assert (dist == 0).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=lowered_support())
+    def test_block_rows_match_lookup_on_every_block(self, case):
+        # every block size, so scope bits fall on both sides of the
+        # block boundary (fixed by lo above it, broadcast below it)
+        n, kernel = case
+        for bits in range(1, n + 1):
+            for lo in range(0, 1 << n, 1 << bits):
+                states = np.arange(lo, lo + (1 << bits), dtype=np.int64)
+                row = kernel.block(lo, bits, states)
+                assert row.dtype == np.bool_
+                assert np.array_equal(row, kernel(states))
 
 
 class TestRecoverabilityEquivalence:
